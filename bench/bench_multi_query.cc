@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "dlacep/multi_pattern.h"
 #include "runtime/online.h"
 #include "runtime/source.h"
@@ -118,7 +119,7 @@ int Run() {
   serve::QueryRegistry registry;
   for (size_t q = 0; q < patterns.size(); ++q) {
     serve::QueryOptions options;
-    options.name = "q" + std::to_string(q);
+    options.name = StrFormat("q%zu", q);
     auto id = registry.Register(patterns[q], options);
     if (!id.ok()) {
       std::fprintf(stderr, "register q%zu: %s\n", q,
@@ -210,7 +211,7 @@ int Run() {
     serve::QueryRegistry adaptive_registry;
     for (size_t q = 0; q < patterns.size(); ++q) {
       serve::QueryOptions options;
-      options.name = "q" + std::to_string(q);
+      options.name = StrFormat("q%zu", q);
       options.engine = EngineKind::kAdaptive;
       auto id = adaptive_registry.Register(patterns[q], options);
       if (!id.ok()) {

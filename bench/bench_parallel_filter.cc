@@ -17,12 +17,14 @@
 // picture of the tape-free fast path at the pipeline level, and a check
 // that both paths merge to identical marks.
 //
-// A third sweep streams the test set through the sharded online
-// runtime (OnlineConfig::num_shards in {1, 2, 4, 8}) and reports
-// end-to-end events/sec — the thread-per-core runtime's headline
-// scaling number, gated in CI (4 shards must beat 1 shard by >= 2.5x
-// on the multi-core runners, with byte-identical marks).
+// A third sweep streams the test set through the online runtime
+// (OnlineConfig::num_shards in {1, 2, 4, 8}) and reports end-to-end
+// events/sec and routing skew (busiest shard's windows over the mean)
+// — the runtime's headline scaling number, gated in CI (4 shards must
+// beat 1 shard by >= 2.5x on the multi-core runners, with
+// byte-identical marks).
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 
@@ -148,10 +150,10 @@ void SweepThreads(const std::string& label, const Pattern& pattern,
   }
 }
 
-/// Sharded online-runtime sweep: end-to-end ingest throughput through
-/// OnlineDlacep at num_shards in {1, 2, 4, 8} — the thread-per-core
-/// runtime's headline metric. Lossless, overload disabled, shard-local
-/// micro-batching on; events/sec is measured over the streaming phase
+/// Online-runtime shard sweep: end-to-end ingest throughput through
+/// OnlineDlacep at num_shards in {1, 2, 4, 8} — the runtime's headline
+/// metric. Lossless, overload disabled, shard-local micro-batching on;
+/// events/sec is measured over the streaming phase
 /// only (ingest through merged marks — end-of-stream CEP extraction is
 /// a serial tail every shard count pays identically). The 1-shard run
 /// is the baseline and every shard count must merge byte-identical
@@ -188,10 +190,18 @@ void SweepShards(const std::string& label, const Pattern& pattern,
     if (shards == 1) baseline_seconds = best_seconds;
     const double events_per_sec =
         static_cast<double>(test.size()) / std::max(best_seconds, 1e-9);
+    // Routing skew: the busiest shard's window count over the mean.
+    uint64_t routed_max = 0;
+    for (const ShardStats& s : result.stats.shards) {
+      routed_max = std::max(routed_max, s.windows_routed);
+    }
+    const double skew =
+        static_cast<double>(routed_max) * static_cast<double>(shards) /
+        std::max(1.0, static_cast<double>(result.stats.windows_closed));
     std::printf("%-28s shards=%zu  stream=%8.4fs  %9.0f ev/s  "
-                "speedup=%5.2fx  identical=%s\n",
+                "speedup=%5.2fx  skew=%4.2f  identical=%s\n",
                 label.c_str(), shards, best_seconds, events_per_sec,
-                baseline_seconds / std::max(best_seconds, 1e-9),
+                baseline_seconds / std::max(best_seconds, 1e-9), skew,
                 identical ? "yes" : "NO");
     std::fflush(stdout);
     const std::string key = label + " shards=" + std::to_string(shards);
@@ -199,6 +209,7 @@ void SweepShards(const std::string& label, const Pattern& pattern,
     JsonReport::Metric(key, "events_per_sec", events_per_sec);
     JsonReport::Metric(key, "speedup",
                        baseline_seconds / std::max(best_seconds, 1e-9));
+    JsonReport::Metric(key, "shard_skew", skew);
     JsonReport::Metric(key, "identical", identical ? 1.0 : 0.0);
   }
 }

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/stages.h"
 #include "obs/trace.h"
@@ -24,7 +23,7 @@ namespace {
 constexpr int kMaxSourceRetries = 8;
 constexpr double kSourceBackoffBaseSeconds = 1e-3;
 
-// Burst sizes for the sharded runtime: the router pops up to this many
+// Burst sizes: the router pops up to this many
 // arrivals per ingest-queue lock, and a shard worker pops up to this
 // many window tasks per work-ring lock. Bursts amortize the mutex
 // atomics and futex wakeups; correctness never depends on the values.
@@ -34,10 +33,10 @@ constexpr size_t kShardWorkBurst = 16;
 }  // namespace
 
 /// Per-Run mutable state. Threading contract: the producer thread only
-/// touches `queue` (and its own local counters); pool workers only read
-/// their window's detached EventStream and write the finished DoneWindow
-/// into `done` under `done_mu`; everything else is owned by the
-/// assembler (caller) thread.
+/// touches `queue` (and its own local counters); shard workers only
+/// touch their own Shard (rings, stats) and read the detached
+/// EventStreams they are handed; everything else is owned by the router
+/// (caller) thread.
 struct OnlineDlacep::RunState {
   RunState(size_t queue_capacity, const OverloadConfig& overload,
            const HealthConfig& health)
@@ -66,32 +65,23 @@ struct OnlineDlacep::RunState {
   size_t windows_dispatched = 0;
   size_t last_end = 0;
 
-  // Dispatch → merge handoff. Workers insert under done_mu keyed by
-  // dispatch sequence; the assembler merges strictly in sequence order,
-  // which is what makes the merged mark stream deterministic across
-  // thread counts.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::map<size_t, DoneWindow> done;
-  size_t in_flight = 0;
-  size_t next_merge = 0;
-
-  // Assembler-side shadow of every dispatched-but-unmerged window, so a
-  // deadline abandon can synthesize a quarantined stand-in without the
-  // worker's cooperation. Keyed by dispatch sequence.
+  // Router-side shadow of every dispatched-but-unmerged window, in
+  // dispatch order: pending.front() is sequence `next_merge`, so
+  // pending.size() is the number of windows in flight. A deadline
+  // abandon synthesizes its quarantined stand-in from the shadow,
+  // without the worker's cooperation.
   struct Pending {
     size_t begin = 0;
     int level = 0;
     double close_seconds = 0.0;
     std::shared_ptr<EventStream> events;
-    size_t shard = 0;  ///< owner shard (sharded mode): where to pop from
   };
-  std::map<size_t, Pending> pending;
+  std::deque<Pending> pending;
+  size_t next_merge = 0;
 
-  // --- Sharded mode ---------------------------------------------------
-  // One closed window forwarded to its owner shard (the exchange
-  // stage). The level/probe decisions were already taken by the router
-  // at close time; the worker only marks.
+  // One closed window forwarded to its shard (the exchange stage). The
+  // level/probe decisions were already taken by the router at close
+  // time; the worker only marks.
   struct WindowTask {
     size_t seq = 0;
     size_t begin = 0;
@@ -117,20 +107,6 @@ struct OnlineDlacep::RunState {
   };
   std::vector<std::unique_ptr<Shard>> shards;
 
-  // Batch-collection stage (assembler thread only, batch_size > 1):
-  // closed level-0/1 windows waiting to be dispatched together as one
-  // MarkBatchOnline task. Each entry already owns a dispatch sequence
-  // and a Pending shadow — buffering delays the task submission, never
-  // the sequencing, so merge order is identical to solo dispatch.
-  struct BatchedWindow {
-    size_t seq = 0;
-    size_t begin = 0;
-    int level = 0;
-    double close_seconds = 0.0;
-    std::shared_ptr<EventStream> events;
-  };
-  std::vector<BatchedWindow> batch;
-
   // Merge products. marked_store is a deque so the Event addresses
   // handed to the extractor stay stable as it grows. `stored` dedups
   // the store across overlapping windows; `seen` holds ids relayed by a
@@ -151,7 +127,7 @@ struct OnlineDlacep::RunState {
   bool latency_seen = false;
   size_t latency_samples = 0;  ///< observations offered (incl. discarded)
 
-  // Checkpoint bookkeeping (assembler thread).
+  // Checkpoint bookkeeping (router thread).
   uint64_t base_ingested = 0;  ///< events already accounted pre-restore
   uint64_t last_checkpoint = 0;
 
@@ -187,26 +163,14 @@ OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
   step_size_ = config_.step_size != 0 ? config_.step_size : w;
   DLACEP_CHECK_GT(mark_size_, 0u);
   DLACEP_CHECK_GT(step_size_, 0u);
-  num_shards_ = config_.num_shards;
-  if (num_shards_ > 0) {
-    // Sharded runtime: one worker thread (spawned per Run) and one
-    // scratch arena per shard; no shared pool.
-    workers_ = num_shards_;
-    hash_ring_ = std::make_unique<ConsistentHashRing>(num_shards_);
-    for (size_t i = 0; i < num_shards_; ++i) {
-      contexts_.push_back(std::make_unique<InferenceContext>());
-    }
-  } else {
-    workers_ = ResolveNumThreads(config_.num_threads);
-    if (workers_ > 1) pool_ = std::make_unique<ThreadPool>(workers_);
-    const size_t context_slots = pool_ != nullptr ? workers_ : 1;
-    for (size_t i = 0; i < context_slots; ++i) {
-      contexts_.push_back(std::make_unique<InferenceContext>());
-    }
+  // One worker thread (spawned per Run) and one scratch arena per shard.
+  num_shards_ = ResolveNumThreads(config_.num_shards);
+  for (size_t i = 0; i < num_shards_; ++i) {
+    contexts_.push_back(std::make_unique<InferenceContext>());
   }
   max_in_flight_ = config_.max_windows_in_flight != 0
                        ? config_.max_windows_in_flight
-                       : 2 * workers_ + 2;
+                       : 2 * num_shards_ + 2;
 }
 
 void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
@@ -333,113 +297,37 @@ void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
 }
 
 void OnlineDlacep::DrainMerges(RunState* state, size_t target_in_flight) {
-  if (num_shards_ > 0) {
-    DrainMergesSharded(state, target_in_flight);
-    return;
-  }
-  // A buffered-but-undispatched window still counts as in flight, and
-  // the merge line may point straight at it. If this call is going to
-  // wait, dispatch the partial batch first so the wait can terminate.
-  if (state->in_flight > target_in_flight) FlushBatch(state);
   const double deadline =
       config_.health.enabled ? config_.health.mark_deadline_seconds : 0.0;
-  // Block until enough windows have retired, merging strictly in
-  // dispatch order: the next window in sequence must eventually land in
-  // `done` because every dispatched window completes — or, with a mark
-  // deadline configured, because the assembler abandons it.
-  while (state->in_flight > target_in_flight) {
+  // Retires the merge line, from the owner's completion or — after a
+  // deadline abandon — from the router's shadow.
+  auto retire = [&](DoneWindow window) {
+    state->pending.pop_front();
+    ++state->next_merge;
+    MergeOne(state, std::move(window));
+  };
+  // Anything popped below the merge line is the late result of a
+  // previously abandoned window — stale, discard. Every lower sequence
+  // the owner holds has merged or been discarded, so the first live
+  // completion is exactly the merge line.
+  auto take = [&](RunState::SeqDone& done, DoneWindow* window) {
+    if (done.seq < state->next_merge) return false;
+    DLACEP_CHECK_EQ(done.seq, state->next_merge);
+    *window = std::move(done.window);
+    return true;
+  };
+  while (state->pending.size() > target_in_flight) {
+    const RunState::Pending& p = state->pending.front();
+    RunState::Shard& shard = *state->shards[state->next_merge % num_shards_];
     DoneWindow window;
     bool have = false;
-    {
-      std::unique_lock<std::mutex> lock(state->done_mu);
-      // A previously abandoned window's real result may arrive late;
-      // anything below the merge line is stale.
-      while (!state->done.empty() &&
-             state->done.begin()->first < state->next_merge) {
-        state->done.erase(state->done.begin());
-      }
-      if (deadline <= 0.0) {
-        state->done_cv.wait(lock, [&] {
-          return state->done.find(state->next_merge) != state->done.end();
-        });
-      } else {
-        while (state->done.find(state->next_merge) == state->done.end()) {
-          const auto pit = state->pending.find(state->next_merge);
-          DLACEP_CHECK(pit != state->pending.end());
-          const double wait_s = pit->second.close_seconds + deadline -
-                                state->watch.ElapsedSeconds();
-          if (wait_s <= 0.0) break;  // overdue: abandon below
-          state->done_cv.wait_for(
-              lock, std::chrono::duration<double>(wait_s));
-        }
-      }
-      auto it = state->done.find(state->next_merge);
-      if (it != state->done.end()) {
-        window = std::move(it->second);
-        state->done.erase(it);
-        have = true;
-      }
-    }
-    if (!have) {
-      // Deadline abandon: the worker is wedged (or just too slow).
-      // Synthesize a quarantined stand-in from the assembler's shadow;
-      // MergeOne relays its events unfiltered and degrades.
-      const RunState::Pending& p = state->pending.at(state->next_merge);
-      window.begin = p.begin;
-      window.level = p.level;
-      window.close_seconds = p.close_seconds;
-      window.events = p.events;
-      window.timed_out = true;
-    }
-    state->pending.erase(state->next_merge);
-    ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
-  }
-  // Opportunistically retire whatever else is already finished and next
-  // in order, so merge latency tracks worker completion, not the
-  // in-flight bound.
-  for (;;) {
-    DoneWindow window;
-    {
-      std::lock_guard<std::mutex> lock(state->done_mu);
-      while (!state->done.empty() &&
-             state->done.begin()->first < state->next_merge) {
-        state->done.erase(state->done.begin());
-      }
-      auto it = state->done.find(state->next_merge);
-      if (it == state->done.end()) break;
-      window = std::move(it->second);
-      state->done.erase(it);
-    }
-    state->pending.erase(state->next_merge);
-    ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
-  }
-}
-
-void OnlineDlacep::DrainMergesSharded(RunState* state,
-                                      size_t target_in_flight) {
-  const double deadline =
-      config_.health.enabled ? config_.health.mark_deadline_seconds : 0.0;
-  // The merge line is the global dispatch sequence; the owner shard of
-  // the next sequence was recorded at dispatch. Anything popped below
-  // the line is the late result of a previously abandoned window —
-  // stale, discard.
-  while (state->in_flight > target_in_flight) {
-    auto pit = state->pending.find(state->next_merge);
-    DLACEP_CHECK(pit != state->pending.end());
-    RunState::Shard& shard = *state->shards[pit->second.shard];
-    DoneWindow window;
-    bool have = false;
-    for (;;) {
+    while (!have) {
       RunState::SeqDone done;
       if (deadline <= 0.0) {
         if (!shard.done.Pop(&done)) break;  // ring closed (shutdown)
       } else {
-        const double wait_s = pit->second.close_seconds + deadline -
-                              state->watch.ElapsedSeconds();
+        const double wait_s =
+            p.close_seconds + deadline - state->watch.ElapsedSeconds();
         if (wait_s <= 0.0) break;  // overdue: abandon below
         bool timed_out = false;
         if (!shard.done.PopFor(&done, wait_s, &timed_out)) {
@@ -447,57 +335,36 @@ void OnlineDlacep::DrainMergesSharded(RunState* state,
           break;                    // ring closed (shutdown)
         }
       }
-      if (done.seq < state->next_merge) continue;  // stale late result
-      // A shard's completions are sequence-increasing and every lower
-      // sequence it owns has already merged or been discarded, so the
-      // first live completion is exactly the merge line.
-      DLACEP_CHECK_EQ(done.seq, state->next_merge);
-      window = std::move(done.window);
-      have = true;
-      break;
+      have = take(done, &window);
     }
     if (!have) {
-      // Deadline abandon: synthesize the quarantined stand-in from the
-      // router's shadow, exactly as the pool path does.
-      const RunState::Pending& p = pit->second;
+      // Deadline abandon: the worker is wedged (or just too slow).
+      // MergeOne relays the stand-in's events unfiltered and degrades.
       window.begin = p.begin;
       window.level = p.level;
       window.close_seconds = p.close_seconds;
       window.events = p.events;
       window.timed_out = true;
     }
-    state->pending.erase(pit);
-    ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
+    retire(std::move(window));
   }
-  // Opportunistically retire whatever the owner shard of the merge line
-  // has already finished, so merge latency tracks worker completion.
-  while (state->in_flight > 0) {
-    auto pit = state->pending.find(state->next_merge);
-    DLACEP_CHECK(pit != state->pending.end());
-    RunState::Shard& shard = *state->shards[pit->second.shard];
+  // Opportunistically retire whatever the owner of the merge line has
+  // already finished, so merge latency tracks worker completion, not
+  // the in-flight bound.
+  while (!state->pending.empty()) {
+    RunState::Shard& shard = *state->shards[state->next_merge % num_shards_];
     DoneWindow window;
     bool have = false;
     RunState::SeqDone done;
-    while (shard.done.TryPop(&done)) {
-      if (done.seq < state->next_merge) continue;  // stale late result
-      DLACEP_CHECK_EQ(done.seq, state->next_merge);
-      window = std::move(done.window);
-      have = true;
-      break;
-    }
+    while (!have && shard.done.TryPop(&done)) have = take(done, &window);
     if (!have) break;
-    state->pending.erase(pit);
-    ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
+    retire(std::move(window));
   }
 }
 
 void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
   RunState::Shard& shard = *state->shards[shard_index];
-  if (config_.pin_shard_threads) {
+  if (config_.pin_shard_threads && num_shards_ > 1) {
     const size_t cores = ResolveNumThreads(0);
     shard.stats.pinned = PinCurrentThreadToCore(shard_index % cores);
   }
@@ -512,12 +379,12 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
     finished.reserve(burst.size());
     size_t i = 0;
     while (i < burst.size()) {
-      // Shard-side micro-batching: adjacent level-0/1 windows in the
-      // burst mark through one MarkBatchOnline call (the PR 6 batch
-      // collector, moved shard-local — a busy shard's backlog batches
-      // naturally, an idle shard marks solo with no added latency).
-      // Shed, degraded, and probe windows always mark solo, mirroring
-      // the pool path's batch-collection rule.
+      // Micro-batching: adjacent level-0/1 windows in the burst mark
+      // through one MarkBatchOnline call (a busy shard's backlog
+      // batches naturally, an idle shard marks solo with no added
+      // latency). Shed, degraded, and probe windows always mark solo:
+      // their marking is trivial or intentionally separate, so a
+      // degraded run behaves exactly like batch_size = 1.
       const RunState::WindowTask& head = burst[i];
       const bool batchable = batch_cap > 1 &&
                              head.level < OverloadController::kMaxLevel &&
@@ -598,7 +465,7 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
 void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   DrainMerges(state, max_in_flight_ - 1);
 
-  // The overload decision is taken at close time, on the assembler
+  // The overload decision is taken at close time, on the router
   // thread, from the current ingest-queue depth and the smoothed merge
   // latency — so the level a window runs under is deterministic given
   // the arrival/processing interleaving, and level changes are totally
@@ -611,8 +478,8 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   obs::QueueDepth()->Set(static_cast<double>(state->queue.size()));
   obs::OverloadLevel()->Set(static_cast<double>(level));
 
-  // Probe scheduling is assembler-side (deterministic regardless of
-  // thread count): every probe_period-th degraded window additionally
+  // Probe scheduling is router-side (deterministic regardless of
+  // shard count): every probe_period-th degraded window additionally
   // shadow-marks with the primary filter.
   bool probe = false;
   if (level == OverloadController::kDegradedLevel &&
@@ -624,7 +491,7 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   }
 
   // Detach the window into its own EventStream (ids preserved): workers
-  // must never read the assembler's growing buffer, and the copy is
+  // must never read the router's growing buffer, and the copy is
   // what lets the buffer prune below.
   auto events = std::make_shared<EventStream>(state->schema);
   for (size_t i = begin; i < end; ++i) {
@@ -633,8 +500,8 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
 
   // Adaptive engine selection (config.engine == kAdaptive): the router
   // feeds each closed window into the selector's frequency estimator
-  // right here — before dispatch, on the one thread that closes windows
-  // in both runtimes — so the observation order, the decayed counts,
+  // right here — before dispatch, on the one thread that closes
+  // windows — so the observation order, the decayed counts,
   // and every reselection point are deterministic at any shard count.
   // No-op for static engines.
   extractor_.ObserveWindow(
@@ -649,128 +516,23 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   }
 
   const double close_seconds = state->watch.ElapsedSeconds();
-  ++state->in_flight;
-  obs::WindowsInFlight()->Set(static_cast<double>(state->in_flight));
+  state->pending.push_back(
+      RunState::Pending{begin, level, close_seconds, events});
+  obs::WindowsInFlight()->Set(static_cast<double>(state->pending.size()));
 
-  if (num_shards_ > 0) {
-    // Exchange stage: the detached window is forwarded whole to the
-    // shard that owns its head symbol. Occupancy is bounded by
-    // in_flight (capped at max_in_flight_ - 1 by the DrainMerges
-    // above), so the push lands without blocking unless deadline
-    // abandons have piled extra tasks onto a wedged shard — then
-    // blocking here is the intended backpressure.
-    const size_t owner = hash_ring_->ShardFor(WindowRoutingSymbol(*events));
-    state->pending.emplace(seq, RunState::Pending{begin, level,
-                                                  close_seconds, events,
-                                                  owner});
-    RunState::Shard& shard = *state->shards[owner];
-    RunState::WindowTask task{seq,   begin, level,
-                              probe, close_seconds, std::move(events)};
-    const bool accepted = shard.work.Push(std::move(task));
-    DLACEP_CHECK(accepted);
-    ++shard.stats.windows_routed;
-    obs::ShardRingDepth(owner)->Set(static_cast<double>(shard.work.size()));
-    return;
-  }
-  state->pending.emplace(
-      seq, RunState::Pending{begin, level, close_seconds, events});
-
-  // Batch-collection stage: normal and boosted windows (level 0/1) are
-  // batchable — the network filter applies the boost per window inside
-  // MarkBatchOnline. Degraded, probe, and shed windows dispatch solo:
-  // their marking is trivial or intentionally separate, and keeping
-  // them out of the buffer means a degraded run behaves exactly like
-  // batch_size = 1.
-  if (config_.batch_size > 1 && level < OverloadController::kMaxLevel) {
-    state->batch.push_back(
-        RunState::BatchedWindow{seq, begin, level, close_seconds, events});
-    if (state->batch.size() >= config_.batch_size) FlushBatch(state);
-    return;
-  }
-
-  auto task = [this, state, seq, begin, level, probe, close_seconds,
-               events] {
-    if (config_.worker_window_hook) config_.worker_window_hook(seq);
-    DoneWindow window;
-    window.begin = begin;
-    window.level = level;
-    window.close_seconds = close_seconds;
-    window.events = events;
-    window.probe = probe;
-    InferenceContext* ctx =
-        contexts_[ThreadPool::CurrentWorkerIndex()].get();
-    obs::TraceSpan mark_span(obs::StageWindowMark());
-    if (level == OverloadController::kDegradedLevel) {
-      // Degrade-to-exact: relay everything; the exact CEP engine sees
-      // the unfiltered window (recall 1.0). A probe window additionally
-      // exercises the distrusted filter, output inspected only.
-      window.marks.assign(events->size(), 1);
-      if (probe) {
-        window.shadow_marks = filter_->MarkOnline(*events, begin, ctx, 0.0);
-      }
-    } else if (level >= OverloadController::kMaxLevel) {
-      const StreamFilter& shed =
-          config_.overload.shedding == SheddingPolicy::kRandom
-              ? static_cast<const StreamFilter&>(random_shed_)
-              : static_cast<const StreamFilter&>(type_shed_);
-      window.marks = shed.MarkOnline(*events, begin, ctx, 0.0);
-    } else {
-      const double boost =
-          level == 1 ? config_.overload.threshold_boost : 0.0;
-      window.marks = filter_->MarkOnline(*events, begin, ctx, boost);
-    }
-    mark_span.Finish();
-    {
-      std::lock_guard<std::mutex> lock(state->done_mu);
-      state->done.emplace(seq, std::move(window));
-    }
-    state->done_cv.notify_one();
-  };
-  if (pool_ != nullptr) {
-    pool_->Submit(std::move(task));
-  } else {
-    task();
-  }
-}
-
-void OnlineDlacep::FlushBatch(RunState* state) {
-  if (state->batch.empty()) return;
-  std::vector<RunState::BatchedWindow> batch;
-  batch.swap(state->batch);
-  auto task = [this, state, batch = std::move(batch)] {
-    std::vector<OnlineWindow> windows;
-    windows.reserve(batch.size());
-    for (const RunState::BatchedWindow& w : batch) {
-      if (config_.worker_window_hook) config_.worker_window_hook(w.seq);
-      windows.push_back(OnlineWindow{
-          w.events.get(), w.begin,
-          w.level == 1 ? config_.overload.threshold_boost : 0.0});
-    }
-    std::vector<std::vector<int>> marks(batch.size());
-    InferenceContext* ctx =
-        contexts_[ThreadPool::CurrentWorkerIndex()].get();
-    obs::TraceSpan mark_span(obs::StageWindowMark());
-    filter_->MarkBatchOnline(windows, ctx, marks.data());
-    mark_span.Finish();
-    {
-      std::lock_guard<std::mutex> lock(state->done_mu);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        DoneWindow window;
-        window.begin = batch[i].begin;
-        window.level = batch[i].level;
-        window.close_seconds = batch[i].close_seconds;
-        window.events = batch[i].events;
-        window.marks = std::move(marks[i]);
-        state->done.emplace(batch[i].seq, std::move(window));
-      }
-    }
-    state->done_cv.notify_one();
-  };
-  if (pool_ != nullptr) {
-    pool_->Submit(std::move(task));
-  } else {
-    task();
-  }
+  // Exchange stage: the detached window is forwarded whole to shard
+  // (seq mod N). Occupancy is bounded by the in-flight count (capped at
+  // max_in_flight_ by the DrainMerges above), so the push lands without
+  // blocking unless deadline abandons have piled extra tasks onto a
+  // wedged shard — then blocking here is the intended backpressure.
+  const size_t owner = seq % num_shards_;
+  RunState::Shard& shard = *state->shards[owner];
+  RunState::WindowTask task{seq,   begin, level,
+                            probe, close_seconds, std::move(events)};
+  const bool accepted = shard.work.Push(std::move(task));
+  DLACEP_CHECK(accepted);
+  ++shard.stats.windows_routed;
+  obs::ShardRingDepth(owner)->Set(static_cast<double>(shard.work.size()));
 }
 
 void OnlineDlacep::WriteCheckpointNow(RunState* state) {
@@ -980,24 +742,21 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     DLACEP_RETURN_IF_ERROR(RestoreFrom(&state, source));
   }
 
-  // Sharded mode: spawn the shard workers before any window can close.
-  // Without deadline abandons, ring occupancy is bounded by
-  // in_flight <= max_in_flight_, so pushes never block. Abandoned
-  // windows leave in_flight while their task/late-result still occupies
-  // a ring, so capacity carries 2x slack; if a ring still fills behind
-  // a wedged shard, the push blocking IS the backpressure (the merge
-  // line keeps advancing via abandons and drains the ring on its next
-  // visit).
-  if (num_shards_ > 0) {
-    const size_t ring_capacity = 2 * (max_in_flight_ + 1);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      state.shards.push_back(
-          std::make_unique<RunState::Shard>(ring_capacity, ring_capacity));
-    }
-    for (size_t s = 0; s < num_shards_; ++s) {
-      state.shards[s]->thread =
-          std::thread(&OnlineDlacep::ShardLoop, this, &state, s);
-    }
+  // Spawn the shard workers before any window can close. Without
+  // deadline abandons, ring occupancy is bounded by the in-flight count
+  // (<= max_in_flight_), so pushes never block. Abandoned windows leave
+  // the in-flight count while their task/late result still occupies a
+  // ring, so capacity carries 2x slack; if a ring still fills behind a
+  // wedged shard, the push blocking IS the backpressure (the merge line
+  // keeps advancing via abandons and drains the ring on its next visit).
+  const size_t ring_capacity = 2 * (max_in_flight_ + 1);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    state.shards.push_back(
+        std::make_unique<RunState::Shard>(ring_capacity, ring_capacity));
+  }
+  for (size_t s = 0; s < num_shards_; ++s) {
+    state.shards[s]->thread =
+        std::thread(&OnlineDlacep::ShardLoop, this, &state, s);
   }
 
   // Producer: pull, stamp the arrival id BEFORE the queue (a dropped
@@ -1053,12 +812,10 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     state.queue.Close();
   });
 
-  // Assembler loop: a full window closes by watermark the moment its
-  // last event arrives — the running prefix of
-  // CountWindows(appended, mark, step). With a partial micro-batch
-  // buffered and a flush timer configured, the pop is bounded by the
-  // oldest buffered window's deadline so a quiet stream can't hold a
-  // window past batch_timeout_ms.
+  // Router loop: a full window closes by watermark the moment its last
+  // event arrives — the running prefix of CountWindows(appended, mark,
+  // step). Arrivals are burst-popped so the ingest queue's lock and
+  // wakeup cost amortize across kRouterIngestBurst events.
   auto ingest = [&](RunState::Arrival& arrival) {
     if (arrival.pushed_seconds > 0.0) {
       obs::StageQueueWait()->Observe(std::max(
@@ -1077,42 +834,12 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
       state.last_checkpoint = state.appended;
     }
   };
-  if (num_shards_ > 0) {
-    // Router loop: burst-pop arrivals so the ingest queue's lock and
-    // wakeup cost amortize across kRouterIngestBurst events. Shard-side
-    // micro-batching replaces the assembler-side batch collector, so
-    // there is no flush timer to honor here.
-    std::vector<RunState::Arrival> arrivals;
-    arrivals.reserve(kRouterIngestBurst);
-    for (;;) {
-      arrivals.clear();
-      if (state.queue.PopBurst(&arrivals, kRouterIngestBurst) == 0) break;
-      for (RunState::Arrival& arrival : arrivals) ingest(arrival);
-    }
-  } else {
-    RunState::Arrival arrival;
-    const double batch_timeout = config_.batch_timeout_ms * 1e-3;
-    for (;;) {
-      bool got = false;
-      if (state.batch.empty() || batch_timeout <= 0.0) {
-        got = state.queue.Pop(&arrival);
-      } else {
-        const double wait_s = state.batch.front().close_seconds +
-                              batch_timeout - state.watch.ElapsedSeconds();
-        if (wait_s <= 0.0) {
-          FlushBatch(&state);
-          continue;
-        }
-        bool timed_out = false;
-        got = state.queue.PopFor(&arrival, wait_s, &timed_out);
-        if (!got && timed_out) {
-          FlushBatch(&state);
-          continue;
-        }
-      }
-      if (!got) break;
-      ingest(arrival);
-    }
+  std::vector<RunState::Arrival> arrivals;
+  arrivals.reserve(kRouterIngestBurst);
+  for (;;) {
+    arrivals.clear();
+    if (state.queue.PopBurst(&arrivals, kRouterIngestBurst) == 0) break;
+    for (RunState::Arrival& arrival : arrivals) ingest(arrival);
   }
 
   // End of stream: emit the truncated suffix exactly as CountWindows
@@ -1130,15 +857,10 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     }
   }
   DrainMerges(&state, 0);
-  // All windows are merged, but the worker that produced the last one
-  // may still be inside its done_cv.notify_one() — drain the pool so no
-  // task can touch RunState after Run returns. In sharded mode, close
-  // the work rings (the workers exit once drained) and join.
+  // All windows are merged; close the work rings (the workers exit once
+  // drained) and join, so no worker can touch RunState after Run returns.
   for (auto& shard : state.shards) shard->work.Close();
-  for (auto& shard : state.shards) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
-  if (pool_ != nullptr) pool_->Wait();
+  for (auto& shard : state.shards) shard->thread.join();
   producer.join();
 
   // Final checkpoint at full quiescence (also the abort-path snapshot a

@@ -164,9 +164,9 @@ class RingQueue {
   /// Returns true with *out on success; on false, *timed_out
   /// distinguishes an expired wait (true — the queue may still produce
   /// later) from closed-and-drained (false — same terminal condition as
-  /// Pop returning false). The online assembler uses this while a
-  /// partial micro-batch is buffered, so a quiet stream can't hold the
-  /// batch past its flush deadline.
+  /// Pop returning false). The online router waits on a shard's
+  /// completion ring with this, so a wedged shard can't hold the merge
+  /// line past its mark deadline.
   bool PopFor(T* out, double seconds, bool* timed_out) {
     std::unique_lock<std::mutex> lock(mu_);
     *timed_out =

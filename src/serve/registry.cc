@@ -3,6 +3,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/string_util.h"
 #include "obs/stages.h"
 
 namespace dlacep {
@@ -41,8 +42,11 @@ StatusOr<QueryId> QueryRegistry::Register(const Pattern& pattern,
   std::lock_guard<std::mutex> lock(mu_);
   QueryEntry entry;
   entry.id = next_id_++;
-  entry.name = options.name.empty() ? "q" + std::to_string(entry.id)
-                                    : std::move(options.name);
+  if (options.name.empty()) {
+    options.name =
+        StrFormat("q%llu", static_cast<unsigned long long>(entry.id));
+  }
+  entry.name = std::move(options.name);
   entry.pattern = std::make_shared<const Pattern>(pattern);
   entry.threshold = options.threshold;
   entry.engine = options.engine;

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "dlacep/multi_pattern.h"
 #include "dlacep/oracle_filter.h"
 #include "runtime/online.h"
@@ -73,7 +74,7 @@ void CheckServeMatchesIsolated(const EventStream& stream,
   QueryRegistry registry;
   for (size_t q = 0; q < patterns.size(); ++q) {
     QueryOptions options;
-    options.name = "q" + std::to_string(q);
+    options.name = StrFormat("q%zu", q);
     ASSERT_TRUE(registry.Register(patterns[q], options).ok());
   }
 
@@ -97,7 +98,7 @@ std::vector<MatchSet> IsolatedReferences(
     const EventStream& stream, const std::vector<Pattern>& patterns,
     const StreamFilter* filter) {
   std::vector<MatchSet> reference;
-  const OnlineConfig config = LosslessConfig(MaxCountWindow(patterns), 0);
+  const OnlineConfig config = LosslessConfig(MaxCountWindow(patterns), 1);
   for (const Pattern& pattern : patterns) {
     OnlineDlacep online(pattern, filter, config);
     ReplaySource source(&stream);
@@ -122,7 +123,7 @@ TEST(MultiQueryServing, TwinsAndDistinctQueriesMatchIsolatedAcrossShards) {
       IsolatedReferences(stream, patterns, &pass);
   EXPECT_FALSE(reference[0].empty());
 
-  for (const size_t shards : {0u, 1u, 2u, 4u}) {
+  for (const size_t shards : {1u, 2u, 4u}) {
     CheckServeMatchesIsolated(stream, patterns, &pass, nullptr, reference,
                               shards);
   }
@@ -141,7 +142,7 @@ TEST(MultiQueryServing, SharingStatsCountTwinsGuardsAndPrunes) {
   }
   PassThroughFilter pass;
   ServeConfig config;
-  config.online = LosslessConfig(MaxCountWindow(patterns), 0);
+  config.online = LosslessConfig(MaxCountWindow(patterns), 1);
   MultiQueryServer server(&registry, &pass, nullptr, config);
   ReplaySource source(&stream);
   MultiQueryResult result;
@@ -176,7 +177,7 @@ TEST(MultiQueryServing, TrainedTrunkServesHeadsIdenticalToIsolatedRuns) {
 
   const std::vector<MatchSet> reference =
       IsolatedReferences(stream, patterns, system.filter());
-  for (const size_t shards : {0u, 2u}) {
+  for (const size_t shards : {1u, 2u}) {
     CheckServeMatchesIsolated(stream, patterns, system.filter(),
                               system.filter(), reference, shards);
   }
@@ -249,7 +250,7 @@ Pattern SameTypeBlowup(std::shared_ptr<const Schema> schema,
   PatternBuilder builder(std::move(schema));
   std::vector<PatternBuilder::Node> children;
   for (size_t i = 0; i < len; ++i) {
-    children.push_back(builder.Prim(type, "p" + std::to_string(i)));
+    children.push_back(builder.Prim(type, StrFormat("p%zu", i)));
   }
   return builder.BuildOrDie(builder.SeqOf(std::move(children)),
                             WindowSpec::Count(window));
@@ -282,11 +283,11 @@ TEST(MultiQueryServing, BudgetAbortIsolatesToTheOffendingStructuralGroup) {
     QueryRegistry registry;
     for (size_t q = 0; q < patterns.size(); ++q) {
       QueryOptions options;
-      options.name = "q" + std::to_string(q);
+      options.name = StrFormat("q%zu", q);
       ASSERT_TRUE(registry.Register(patterns[q], options).ok());
     }
     ServeConfig config;
-    config.online = LosslessConfig(MaxCountWindow(patterns), 0);
+    config.online = LosslessConfig(MaxCountWindow(patterns), 1);
     MultiQueryServer server(&registry, &pass, nullptr, config);
     ReplaySource source(&stock);
     MultiQueryResult result;
@@ -303,11 +304,11 @@ TEST(MultiQueryServing, BudgetAbortIsolatesToTheOffendingStructuralGroup) {
       << "blowup query not pathological enough to calibrate a budget";
   const uint64_t budget = census_max + 1;
 
-  for (const size_t shards : {0u, 1u, 2u, 4u}) {
+  for (const size_t shards : {1u, 2u, 4u}) {
     QueryRegistry registry;
     for (size_t q = 0; q < patterns.size(); ++q) {
       QueryOptions options;
-      options.name = "q" + std::to_string(q);
+      options.name = StrFormat("q%zu", q);
       ASSERT_TRUE(registry.Register(patterns[q], options).ok());
     }
     ServeConfig config;
@@ -409,23 +410,27 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   // the marking query alone.
   const std::vector<double> thresholds = {0.0, 2.0};
 
-  auto make_config = [&](size_t shards) {
+  // max_in_flight 1 = lockstep: each window merges before the next one
+  // closes. 0 = the default bound.
+  auto make_config = [&](size_t shards, size_t max_in_flight) {
     OnlineConfig online = LosslessConfig(MaxCountWindow(patterns), shards);
+    online.max_windows_in_flight = max_in_flight;
     online.health.anomaly_streak = 3;
     online.health.probe_period = 2;
     online.health.probe_passes = 2;
     return online;
   };
-  auto serve = [&](size_t shards, MultiQueryResult* result) {
+  auto serve = [&](size_t shards, size_t max_in_flight,
+                   MultiQueryResult* result) {
     QueryRegistry registry;
     for (size_t q = 0; q < patterns.size(); ++q) {
       QueryOptions options;
-      options.name = "q" + std::to_string(q);
+      options.name = StrFormat("q%zu", q);
       options.threshold = thresholds[q];
       ASSERT_TRUE(registry.Register(patterns[q], options).ok());
     }
     ServeConfig config;
-    config.online = make_config(shards);
+    config.online = make_config(shards, max_in_flight);
     MultiQueryServer server(&registry, system.filter(), system.filter(),
                             config);
     ReplaySource source(&stream);
@@ -434,20 +439,21 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
     ASSERT_EQ(result->queries.size(), patterns.size());
   };
 
-  // Single-threaded path: windows mark, close, and inspect in lockstep,
-  // so the streak/quarantine/probe cadence is a pure function of the
-  // window count. Each isolated reference with the matching pinned
+  // One shard, one window in flight: windows mark, close, and inspect
+  // in lockstep, so the streak/quarantine/probe cadence is a pure
+  // function of the window count. Each isolated reference with the matching pinned
   // threshold sees uniform windows throughout (all-relay for q0,
   // all-blank for q1) and therefore the same cadence — per-query
   // extraction inputs and match sets must be byte-identical.
-  // (ExtractShared is shard-agnostic; under shards the per-window
-  // health levels depend on how far dispatch ran ahead of the verdict,
-  // so exact cadence equality is not a testable contract there.)
+  // (ExtractShared is shard-agnostic; with more windows in flight the
+  // per-window health levels depend on how far dispatch ran ahead of
+  // the verdict, so exact cadence equality is not a testable contract
+  // there.)
   std::vector<MatchSet> reference;
   std::vector<size_t> reference_inputs;
   for (size_t q = 0; q < patterns.size(); ++q) {
     FixedThresholdFilter fixed(system.filter(), thresholds[q]);
-    OnlineConfig isolated = make_config(0);
+    OnlineConfig isolated = make_config(1, 1);
     isolated.collect_relayed = true;
     OnlineDlacep alone(patterns[q], &fixed, isolated);
     ReplaySource source(&stream);
@@ -460,7 +466,7 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   EXPECT_GT(reference_inputs[1], 0u);
 
   MultiQueryResult result;
-  serve(0, &result);
+  serve(1, 1, &result);
   for (size_t q = 0; q < patterns.size(); ++q) {
     // The extraction input must be the isolated run's full relayed set:
     // a quarantined window reaches every query whole, including events
@@ -478,7 +484,7 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   // extraction input covers at least the quarantine-only events (the
   // ids that ONLY reached the store through a quarantined window).
   PassThroughFilter pass;
-  OnlineConfig exact_config = LosslessConfig(MaxCountWindow(patterns), 0);
+  OnlineConfig exact_config = LosslessConfig(MaxCountWindow(patterns), 1);
   std::vector<MatchSet> exact;
   for (const Pattern& pattern : patterns) {
     OnlineDlacep online(pattern, &pass, exact_config);
@@ -487,7 +493,7 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   }
 
   MultiQueryResult sharded;
-  serve(2, &sharded);
+  serve(2, 0, &sharded);
   ExpectSameMatches(sharded.queries[0].matches, exact[0],
                     "sharded all-relay query");
   for (size_t q = 0; q < patterns.size(); ++q) {
@@ -512,7 +518,7 @@ TEST(MultiQueryServing, ChurnLeavesStableQueriesByteIdentical) {
   const std::vector<MatchSet> reference =
       IsolatedReferences(stream, patterns, &pass);
 
-  for (const size_t shards : {0u, 2u, 4u}) {
+  for (const size_t shards : {1u, 2u, 4u}) {
     QueryRegistry registry;
     std::vector<serve::QueryId> stable_ids;
     for (size_t q = 0; q < patterns.size(); ++q) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "pattern/lexer.h"
 #include "pattern/parser.h"
 #include "stream/generator.h"
@@ -147,6 +149,11 @@ struct BadQuery {
   const char* query;
   const char* why;
 };
+
+// Prints a case as its reason. Without this the value prints as the struct's
+// pointer bytes, which change with every build and load address, and the
+// discovered test names would change with them.
+void PrintTo(const BadQuery& bad, std::ostream* os) { *os << bad.why; }
 
 class ParserErrors : public ::testing::TestWithParam<BadQuery> {};
 

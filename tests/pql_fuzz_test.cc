@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "pattern/parser.h"
 #include "stream/generator.h"
 
@@ -76,7 +77,7 @@ class QueryGenerator {
   std::string Type() { return std::string(1, static_cast<char>('A' + Pick(6))); }
   std::string Attr() { return Pick(2) == 0 ? "vol" : "a1"; }
 
-  std::string FreshVar() { return "v" + std::to_string(var_counter_++); }
+  std::string FreshVar() { return StrFormat("v%d", var_counter_++); }
 
   /// One primitive position; plain primitives register their variable
   /// as condition-eligible.

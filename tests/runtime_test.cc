@@ -1,9 +1,10 @@
 // Online streaming runtime tests: the byte-equality contract between
-// OnlineDlacep and the batch DlacepPipeline, bounded-queue accounting
-// under overload (no deadlock, every ingested event is either relayed,
-// filtered, or dropped), overload controller escalation AND recovery,
-// drift flagging, source fidelity, and RingQueue unit behavior. The
-// whole file must also pass under TSan (see the CI sanitizer job).
+// OnlineDlacep and the batch DlacepPipeline at every shard count and
+// micro-batch size, bounded-queue accounting under overload (no
+// deadlock, every ingested event is either relayed, filtered, or
+// dropped), overload controller escalation AND recovery, drift
+// flagging, source fidelity, and RingQueue unit behavior. The whole
+// file must also pass under TSan (see the CI sanitizer job).
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,8 @@ namespace {
 
 using testing_util::AscendingSeqPattern;
 using testing_util::SmallStream;
+using testing_util::StockSeqPattern;
+using testing_util::ZipfStockStream;
 
 void ExpectSameMatches(const MatchSet& a, const MatchSet& b) {
   EXPECT_EQ(a.size(), b.size());
@@ -190,7 +193,8 @@ TEST(LatencyHistogram, PercentileOfEmptyHistogramIsZero) {
 }
 
 // ---------------------------------------------------------------------
-// Byte-equality with the batch pipeline (the tentpole contract).
+// Byte-equality with the batch pipeline (the tentpole contract), at
+// every shard count.
 
 struct EqualityCase {
   const EventStream* stream;
@@ -198,27 +202,30 @@ struct EqualityCase {
   const StreamFilter* filter;
   size_t mark_size = 0;
   size_t step_size = 0;
+  size_t batch_size = 1;
 };
 
-// Runs the online runtime at several thread counts and checks marks,
-// relayed-event counts, and matches against the batch pipeline result.
+// Runs the online runtime at 1, 2, 4, and 8 shards and checks marks,
+// relayed-event counts, matches, accounting, and per-shard stats
+// aggregation against the batch pipeline result.
 void CheckOnlineMatchesBatch(const EqualityCase& c,
                              const PipelineResult& batch) {
-  for (size_t threads : {1u, 2u, 4u}) {
+  for (size_t shards : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards
+                                      << " batch_size=" << c.batch_size);
     OnlineConfig config;
-    config.num_threads = threads;
+    config.num_shards = shards;
     config.queue_capacity = 64;
     config.mark_size = c.mark_size;
     config.step_size = c.step_size;
+    config.batch_size = c.batch_size;
     config.overload.enabled = false;  // lossless backpressure only
     OnlineDlacep online(*c.pattern, c.filter, config);
     ReplaySource source(c.stream);
     const OnlineResult result = online.Run(&source);
 
-    EXPECT_EQ(result.marked_ids, batch.marked_ids)
-        << "threads=" << threads;
-    EXPECT_EQ(result.marked_events, batch.marked_events)
-        << "threads=" << threads;
+    EXPECT_EQ(result.marked_ids, batch.marked_ids);
+    EXPECT_EQ(result.marked_events, batch.marked_events);
     ExpectSameMatches(result.matches, batch.matches);
 
     EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
@@ -226,6 +233,19 @@ void CheckOnlineMatchesBatch(const EqualityCase& c,
     EXPECT_EQ(result.stats.events_dropped_queue, 0u);
     EXPECT_EQ(result.stats.overload_escalations, 0u);
     EXPECT_EQ(result.stats.overload_level_at_exit, 0);
+
+    // Per-shard accounting must aggregate to the global counters: every
+    // closed window routed to exactly one shard and marked exactly once.
+    ASSERT_EQ(result.stats.shards.size(), shards);
+    uint64_t routed = 0;
+    uint64_t marked = 0;
+    for (const ShardStats& s : result.stats.shards) {
+      routed += s.windows_routed;
+      marked += s.windows_marked;
+      EXPECT_LE(s.windows_marked, s.windows_routed);
+    }
+    EXPECT_EQ(routed, result.stats.windows_closed);
+    EXPECT_EQ(marked, result.stats.windows_closed);
   }
 }
 
@@ -331,38 +351,104 @@ TEST(OnlineEquality, EmptyStream) {
 }
 
 // ---------------------------------------------------------------------
-// Micro-batched filtration (batch_size > 1): the batch-collection stage
-// may only delay WHEN a window is marked, never change its marks or its
-// merge position, so every (threads × batch_size) cell must stay
-// byte-identical to the per-window batch pipeline.
+// Stock-stream cases: a two-symbol pattern over a Zipf-skewed stock
+// stream, so type-shedding has irrelevant traffic to drop and hot
+// symbols cluster in runs of windows.
 
-void CheckOnlineBatchedMatchesBatch(const EqualityCase& c,
-                                    const PipelineResult& batch) {
-  for (size_t threads : {1u, 2u, 4u}) {
-    for (size_t batch_size : {2u, 4u, 7u}) {
-      OnlineConfig config;
-      config.num_threads = threads;
-      config.queue_capacity = 64;
-      config.mark_size = c.mark_size;
-      config.step_size = c.step_size;
-      config.overload.enabled = false;
-      config.batch_size = batch_size;
-      // Generous timeout: with an unthrottled ReplaySource batches fill
-      // before the timer can split them.
-      config.batch_timeout_ms = 250.0;
-      OnlineDlacep online(*c.pattern, c.filter, config);
-      ReplaySource source(c.stream);
-      const OnlineResult result = online.Run(&source);
+/// Content-based filter: relay events whose volume clears a gate. Pure
+/// function of the event payload, so any routing must reproduce it.
+class VolGateFilter : public StreamFilter {
+ public:
+  explicit VolGateFilter(double gate) : gate_(gate) {}
 
-      EXPECT_EQ(result.marked_ids, batch.marked_ids)
-          << "threads=" << threads << " batch_size=" << batch_size;
-      EXPECT_EQ(result.marked_events, batch.marked_events)
-          << "threads=" << threads << " batch_size=" << batch_size;
-      ExpectSameMatches(result.matches, batch.matches);
-      EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
-      EXPECT_EQ(result.stats.events_dropped_queue, 0u);
-      EXPECT_EQ(result.stats.overload_escalations, 0u);
+  std::string name() const override { return "vol-gate"; }
+
+  std::vector<int> Mark(const EventStream& stream,
+                        WindowRange range) const override {
+    std::vector<int> marks(range.size(), 0);
+    for (size_t t = 0; t < range.size(); ++t) {
+      const Event& e = stream[range.begin + t];
+      if (!e.is_blank() && !e.attrs.empty() && e.attrs[0] > gate_) {
+        marks[t] = 1;
+      }
     }
+    return marks;
+  }
+
+ private:
+  double gate_;
+};
+
+TEST(ShardedEquality, PassThroughOnZipfStream) {
+  const EventStream stream = ZipfStockStream();
+  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
+  PassThroughFilter filter;
+  EqualityCase c{&stream, &pattern, &filter};
+  CheckOnlineMatchesBatch(
+      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+}
+
+TEST(ShardedEquality, TypeSheddingOnZipfStream) {
+  const EventStream stream = ZipfStockStream();
+  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
+  TypeSheddingFilter filter(pattern);
+  EqualityCase c{&stream, &pattern, &filter};
+  CheckOnlineMatchesBatch(
+      c, BatchReference(c, std::make_unique<TypeSheddingFilter>(pattern)));
+}
+
+TEST(ShardedEquality, RandomSheddingOnZipfStream) {
+  const EventStream stream = ZipfStockStream();
+  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
+  RandomSheddingFilter filter(0.5, 0x5eed);
+  EqualityCase c{&stream, &pattern, &filter};
+  CheckOnlineMatchesBatch(
+      c,
+      BatchReference(c, std::make_unique<RandomSheddingFilter>(0.5, 0x5eed)));
+}
+
+TEST(ShardedEquality, ContentFilterOnZipfStream) {
+  const EventStream stream = ZipfStockStream();
+  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
+  VolGateFilter filter(20.0);
+  EqualityCase c{&stream, &pattern, &filter};
+  CheckOnlineMatchesBatch(
+      c, BatchReference(c, std::make_unique<VolGateFilter>(20.0)));
+}
+
+TEST(ShardedEquality, ShardLocalMicroBatchingPreservesOutput) {
+  // batch_size > 1 groups adjacent batchable tasks of one shard burst
+  // into a single filter call — output must not notice.
+  const EventStream stream = ZipfStockStream();
+  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
+  VolGateFilter filter(20.0);
+  EqualityCase c{&stream, &pattern, &filter};
+  c.batch_size = 4;
+  CheckOnlineMatchesBatch(
+      c, BatchReference(c, std::make_unique<VolGateFilter>(20.0)));
+}
+
+TEST(ShardedEquality, NonDefaultGeometryAndSmallStream) {
+  const EventStream stream = SmallStream(900, 19);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 12);
+  PassThroughFilter filter;
+  EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/30,
+                 /*step_size=*/10};
+  CheckOnlineMatchesBatch(
+      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+}
+
+// ---------------------------------------------------------------------
+// Micro-batched filtration (batch_size > 1): shard-side batching may
+// only change how many windows one filter call marks, never a window's
+// marks or its merge position, so every (shards × batch_size) cell must
+// stay byte-identical to the per-window batch pipeline.
+
+void CheckOnlineBatchedMatchesBatch(EqualityCase c,
+                                    const PipelineResult& batch) {
+  for (size_t batch_size : {2u, 4u, 7u}) {
+    c.batch_size = batch_size;
+    CheckOnlineMatchesBatch(c, batch);
   }
 }
 
@@ -393,58 +479,17 @@ TEST(OnlineBatching, TrainedEventNetworkFilterMatchesBatchPipeline) {
 }
 
 TEST(OnlineBatching, PartialBatchFlushesAtEndOfStream) {
+  // batch_size larger than the whole window count: a shard marks
+  // whatever its burst holds, so the run must still terminate and match
+  // byte for byte.
   const EventStream stream = SmallStream(300, 71);
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 7);
   PassThroughFilter filter;
   EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/11,
                  /*step_size=*/4};
-  const PipelineResult batch =
-      BatchReference(c, std::make_unique<PassThroughFilter>());
-
-  // batch_size larger than the whole window count and the flush timer
-  // disabled: nothing can dispatch until merge pressure / end of stream
-  // forces it. The run must still terminate and match byte for byte.
-  OnlineConfig config;
-  config.mark_size = c.mark_size;
-  config.step_size = c.step_size;
-  config.overload.enabled = false;
-  config.batch_size = 1000;
-  config.batch_timeout_ms = 0.0;
-  for (size_t threads : {1u, 4u}) {
-    config.num_threads = threads;
-    OnlineDlacep online(pattern, &filter, config);
-    ReplaySource source(&stream);
-    const OnlineResult result = online.Run(&source);
-    EXPECT_EQ(result.marked_ids, batch.marked_ids) << "threads=" << threads;
-    ExpectSameMatches(result.matches, batch.matches);
-    EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
-  }
-}
-
-TEST(OnlineBatching, TimeoutFlushesPartialBatchInMergeOrder) {
-  const EventStream stream = SmallStream(240, 81);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
-  PassThroughFilter filter;
-  EqualityCase c{&stream, &pattern, &filter};
-  const PipelineResult batch =
-      BatchReference(c, std::make_unique<PassThroughFilter>());
-
-  // Throttle the source so windows close slower than the flush timer:
-  // every batch is flushed by timeout while partial, which exercises the
-  // timed-pop path without changing any result (flush timing only picks
-  // the grouping; merge order is pinned by dispatch sequence).
-  OnlineConfig config;
-  config.num_threads = 2;
-  config.overload.enabled = false;
-  config.batch_size = 8;
-  config.batch_timeout_ms = 1.0;
-  OnlineDlacep online(pattern, &filter, config);
-  ReplaySource source(&stream, /*events_per_second=*/4000.0);
-  const OnlineResult result = online.Run(&source);
-  EXPECT_EQ(result.marked_ids, batch.marked_ids);
-  EXPECT_EQ(result.marked_events, batch.marked_events);
-  ExpectSameMatches(result.matches, batch.matches);
-  EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
+  c.batch_size = 1000;
+  CheckOnlineMatchesBatch(
+      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
 }
 
 // ---------------------------------------------------------------------
@@ -538,7 +583,7 @@ TEST(OnlineOverload, EscalatesRecoversAndAccountsEveryEvent) {
   OnlineConfig config;
   config.queue_capacity = 8;
   config.drop_when_full = true;  // above capacity: count drops
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.max_windows_in_flight = 2;
   config.overload.enabled = true;
   config.overload.high_watermark = 0.5;
@@ -661,8 +706,10 @@ class SlowSeqFilter : public StreamFilter {
 // these tests come from the window-latency EWMA alone.
 OnlineConfig LatencySignalOnlyConfig() {
   OnlineConfig config;
-  config.num_threads = 1;  // in-order inline marking: window latencies
-                           // are exactly the per-window mark costs
+  // One shard, one window in flight: close → mark → merge is strictly
+  // serial, so window latencies are exactly the per-window mark costs.
+  config.num_shards = 1;
+  config.max_windows_in_flight = 1;
   config.overload.enabled = true;
   config.overload.high_watermark = 2.0;
   config.overload.latency_high_seconds = 0.05;
@@ -719,7 +766,7 @@ TEST(OnlineOverload, DisabledControllerStaysLossyButLevelZero) {
   OnlineConfig config;
   config.queue_capacity = 8;
   config.drop_when_full = true;
-  config.num_threads = 1;
+  config.num_shards = 1;
   config.max_windows_in_flight = 1;
   config.overload.enabled = false;
   OnlineDlacep online(pattern, &filter, config);

@@ -1,34 +1,27 @@
-// Sharded runtime tests: the thread-per-core sharded OnlineDlacep
-// (OnlineConfig::num_shards >= 1) must be byte-identical — marks,
-// matches, accounting, overload/health trajectories — to the legacy
-// worker-pool runtime and to the batch pipeline at EVERY shard count.
+// Sharded runtime tests: OnlineDlacep must be byte-identical — marks,
+// matches, accounting, overload/health trajectories — at EVERY shard
+// count (the batch-pipeline sweep lives in tests/runtime_test.cc).
 // Routing is an implementation detail; only throughput may change.
 //
-// Also covers the ConsistentHashRing (determinism, coverage, minimal
-// remap on growth), window routing keys, per-shard stats aggregation,
-// and checkpoint kill-and-restore across runtime modes. The whole file
-// must pass under TSan (see the CI sanitizer job).
+// Also covers round-robin routing balance, and checkpoint
+// kill-and-restore across shard counts. The whole file must pass under
+// TSan (see the CI sanitizer job).
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "dlacep/oracle_filter.h"
-#include "dlacep/pipeline.h"
-#include "dlacep/shedding_filter.h"
-#include "pattern/builder.h"
 #include "runtime/checkpoint.h"
 #include "runtime/fault_injection.h"
 #include "runtime/online.h"
-#include "runtime/shard.h"
 #include "runtime/source.h"
-#include "stream/stocksim.h"
 #include "test_util.h"
 
 namespace dlacep {
@@ -36,250 +29,13 @@ namespace {
 
 using testing_util::AscendingSeqPattern;
 using testing_util::SmallStream;
+using testing_util::StockSeqPattern;
+using testing_util::ZipfStockStream;
 
 void ExpectSameMatches(const MatchSet& a, const MatchSet& b) {
   EXPECT_EQ(a.size(), b.size());
   EXPECT_EQ(a.IntersectionSize(b), a.size());
 }
-
-// ---------------------------------------------------------------------
-// ConsistentHashRing.
-
-TEST(ConsistentHashRing, DeterministicAndInRange) {
-  const ConsistentHashRing a(4);
-  const ConsistentHashRing b(4);
-  for (TypeId symbol = -1; symbol < 500; ++symbol) {
-    const size_t shard = a.ShardFor(symbol);
-    EXPECT_LT(shard, 4u);
-    EXPECT_EQ(shard, b.ShardFor(symbol)) << "symbol=" << symbol;
-  }
-}
-
-TEST(ConsistentHashRing, EveryShardOwnsSomeSymbols) {
-  const ConsistentHashRing ring(8);
-  std::set<size_t> seen;
-  for (TypeId symbol = 0; symbol < 5000; ++symbol) {
-    seen.insert(ring.ShardFor(symbol));
-  }
-  EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(ConsistentHashRing, SingleShardOwnsEverything) {
-  const ConsistentHashRing ring(1);
-  for (TypeId symbol = -1; symbol < 100; ++symbol) {
-    EXPECT_EQ(ring.ShardFor(symbol), 0u);
-  }
-}
-
-TEST(ConsistentHashRing, GrowthRemapsOnlyToTheNewShard) {
-  // The consistent-hashing contract: adding shard 4 may steal keys from
-  // the existing shards, but every key that moves must move TO the new
-  // shard (vnode points are independent of the shard count, so only a
-  // new vnode can change a key's successor), and only a minority of
-  // keys move at all.
-  const ConsistentHashRing before(4);
-  const ConsistentHashRing after(5);
-  size_t moved = 0;
-  const TypeId kKeys = 2000;
-  for (TypeId symbol = 0; symbol < kKeys; ++symbol) {
-    const size_t old_shard = before.ShardFor(symbol);
-    const size_t new_shard = after.ShardFor(symbol);
-    if (old_shard != new_shard) {
-      ++moved;
-      EXPECT_EQ(new_shard, 4u) << "symbol=" << symbol;
-    }
-  }
-  EXPECT_GT(moved, 0u);
-  // Expected move fraction is 1/5; modulo hashing would move ~4/5.
-  EXPECT_LT(moved, static_cast<size_t>(kKeys) / 2);
-}
-
-TEST(WindowRoutingSymbol, HeadNonBlankSymbolOrBlank) {
-  EventStream window(MakeStockSchema(4));
-  EXPECT_EQ(WindowRoutingSymbol(window), kBlankType);  // empty
-  window.AppendBlank(0.0);
-  EXPECT_EQ(WindowRoutingSymbol(window), kBlankType);  // all blank
-  window.Append(2, 1.0, {5.0});
-  window.Append(0, 2.0, {6.0});
-  EXPECT_EQ(WindowRoutingSymbol(window), 2);  // first non-blank wins
-}
-
-// ---------------------------------------------------------------------
-// Byte-equality across shard counts (the tentpole contract).
-
-/// SEQ(S0 a, S1 b) with an ascending-volume condition — a two-symbol
-/// pattern over the stock schema, so type-shedding has irrelevant
-/// traffic to drop and the exchange stage sees symbol sets that span
-/// shards at every shard count.
-Pattern StockSeqPattern(std::shared_ptr<const Schema> schema,
-                        size_t window) {
-  PatternBuilder builder(std::move(schema));
-  std::vector<PatternBuilder::Node> children;
-  children.push_back(builder.Prim("S0", "a"));
-  children.push_back(builder.Prim("S1", "b"));
-  auto root = builder.SeqOf(std::move(children));
-  builder.WhereCmp(1.0, "a", "vol", CmpOp::kLt, 1.2, "b");
-  return builder.BuildOrDie(std::move(root), WindowSpec::Count(window));
-}
-
-/// Content-based filter: relay events whose volume clears a gate. Pure
-/// function of the event payload, so any routing must reproduce it.
-class VolGateFilter : public StreamFilter {
- public:
-  explicit VolGateFilter(double gate) : gate_(gate) {}
-
-  std::string name() const override { return "vol-gate"; }
-
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override {
-    std::vector<int> marks(range.size(), 0);
-    for (size_t t = 0; t < range.size(); ++t) {
-      const Event& e = stream[range.begin + t];
-      if (!e.is_blank() && !e.attrs.empty() && e.attrs[0] > gate_) {
-        marks[t] = 1;
-      }
-    }
-    return marks;
-  }
-
- private:
-  double gate_;
-};
-
-/// A Zipf-skewed stock stream: hot symbols concentrate on few shards,
-/// which is exactly the routing regime that must not perturb output.
-EventStream ZipfStream() {
-  StockSimConfig config;
-  config.num_events = 4000;
-  config.num_symbols = 12;
-  config.zipf_exponent = 1.4;
-  config.seed = 21;
-  return GenerateStockStream(config);
-}
-
-struct EqualityCase {
-  const EventStream* stream;
-  const Pattern* pattern;
-  const StreamFilter* filter;
-  size_t mark_size = 0;
-  size_t step_size = 0;
-  size_t batch_size = 1;
-};
-
-PipelineResult BatchReference(const EqualityCase& c,
-                              std::unique_ptr<StreamFilter> filter) {
-  DlacepConfig config;
-  config.num_threads = 1;
-  config.mark_size = c.mark_size;
-  config.step_size = c.step_size;
-  DlacepPipeline pipeline(*c.pattern, std::move(filter), config);
-  return pipeline.Evaluate(*c.stream);
-}
-
-// Runs the sharded runtime at several shard counts and checks marks,
-// relayed-event counts, matches, accounting, and per-shard stats
-// aggregation against the batch pipeline result (which the legacy
-// runtime is already pinned to by tests/runtime_test.cc).
-void CheckShardedMatchesBatch(const EqualityCase& c,
-                              const PipelineResult& batch) {
-  for (size_t shards : {1u, 2u, 4u, 8u}) {
-    OnlineConfig config;
-    config.num_shards = shards;
-    config.queue_capacity = 64;
-    config.mark_size = c.mark_size;
-    config.step_size = c.step_size;
-    config.batch_size = c.batch_size;
-    config.overload.enabled = false;  // lossless backpressure only
-    OnlineDlacep online(*c.pattern, c.filter, config);
-    ReplaySource source(c.stream);
-    const OnlineResult result = online.Run(&source);
-
-    EXPECT_EQ(result.marked_ids, batch.marked_ids) << "shards=" << shards;
-    EXPECT_EQ(result.marked_events, batch.marked_events)
-        << "shards=" << shards;
-    ExpectSameMatches(result.matches, batch.matches);
-
-    EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
-    EXPECT_EQ(result.stats.events_ingested, c.stream->size());
-    EXPECT_EQ(result.stats.events_dropped_queue, 0u);
-
-    // Per-shard accounting must aggregate to the global counters: every
-    // closed window routed to exactly one shard and marked exactly once.
-    ASSERT_EQ(result.stats.shards.size(), shards);
-    uint64_t routed = 0;
-    uint64_t marked = 0;
-    for (const ShardStats& s : result.stats.shards) {
-      routed += s.windows_routed;
-      marked += s.windows_marked;
-      EXPECT_LE(s.windows_marked, s.windows_routed);
-    }
-    EXPECT_EQ(routed, result.stats.windows_closed) << "shards=" << shards;
-    EXPECT_EQ(marked, result.stats.windows_closed) << "shards=" << shards;
-  }
-}
-
-TEST(ShardedEquality, PassThroughOnZipfStream) {
-  const EventStream stream = ZipfStream();
-  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
-  PassThroughFilter filter;
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckShardedMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
-}
-
-TEST(ShardedEquality, TypeSheddingOnZipfStream) {
-  const EventStream stream = ZipfStream();
-  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
-  TypeSheddingFilter filter(pattern);
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckShardedMatchesBatch(
-      c, BatchReference(c, std::make_unique<TypeSheddingFilter>(pattern)));
-}
-
-TEST(ShardedEquality, RandomSheddingOnZipfStream) {
-  const EventStream stream = ZipfStream();
-  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
-  RandomSheddingFilter filter(0.5, 0x5eed);
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckShardedMatchesBatch(
-      c,
-      BatchReference(c, std::make_unique<RandomSheddingFilter>(0.5, 0x5eed)));
-}
-
-TEST(ShardedEquality, ContentFilterOnZipfStream) {
-  const EventStream stream = ZipfStream();
-  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
-  VolGateFilter filter(20.0);
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckShardedMatchesBatch(
-      c, BatchReference(c, std::make_unique<VolGateFilter>(20.0)));
-}
-
-TEST(ShardedEquality, ShardLocalMicroBatchingPreservesOutput) {
-  // batch_size > 1 moves the micro-batch grouping into the shard
-  // workers (adjacent batchable tasks in a burst) — output must not
-  // notice.
-  const EventStream stream = ZipfStream();
-  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
-  VolGateFilter filter(20.0);
-  EqualityCase c{&stream, &pattern, &filter};
-  c.batch_size = 4;
-  CheckShardedMatchesBatch(
-      c, BatchReference(c, std::make_unique<VolGateFilter>(20.0)));
-}
-
-TEST(ShardedEquality, NonDefaultGeometryAndSmallStream) {
-  const EventStream stream = SmallStream(900, 19);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 12);
-  PassThroughFilter filter;
-  EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/30,
-                 /*step_size=*/10};
-  CheckShardedMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
-}
-
-// ---------------------------------------------------------------------
-// Overload determinism across shard counts.
 
 OnlineResult RunOnline(const EventStream& stream, const Pattern& pattern,
                        const StreamFilter* filter,
@@ -288,6 +44,37 @@ OnlineResult RunOnline(const EventStream& stream, const Pattern& pattern,
   ReplaySource source(&stream);
   return online.Run(&source);
 }
+
+// ---------------------------------------------------------------------
+// Routing balance.
+
+TEST(ShardedRouting, DispatchSequenceRoutingBalancesZipfStream) {
+  // Window k goes to shard k mod N, so the shards' window counts differ
+  // by at most one however skewed the symbol mix is.
+  const EventStream stream = ZipfStockStream();
+  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
+  PassThroughFilter filter;
+  for (size_t shards : {2u, 4u, 8u}) {
+    OnlineConfig config;
+    config.num_shards = shards;
+    config.overload.enabled = false;
+    const OnlineResult result = RunOnline(stream, pattern, &filter, config);
+    ASSERT_EQ(result.stats.shards.size(), shards);
+    uint64_t lo = result.stats.shards[0].windows_routed;
+    uint64_t hi = lo;
+    uint64_t routed = 0;
+    for (const ShardStats& s : result.stats.shards) {
+      lo = std::min(lo, s.windows_routed);
+      hi = std::max(hi, s.windows_routed);
+      routed += s.windows_routed;
+    }
+    EXPECT_LE(hi - lo, 1u) << "shards=" << shards;
+    EXPECT_EQ(routed, result.stats.windows_closed) << "shards=" << shards;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Overload determinism across shard counts.
 
 TEST(ShardedOverload, EscalationLadderIsShardCountInvariant) {
   // Watermarks rigged so the pressure signal is a constant: high = 0
@@ -309,9 +96,9 @@ TEST(ShardedOverload, EscalationLadderIsShardCountInvariant) {
   base.overload.dwell_windows = 2;
   base.overload.shedding = SheddingPolicy::kRandom;
 
-  OnlineConfig legacy = base;
-  legacy.num_threads = 2;
-  const OnlineResult reference = RunOnline(stream, pattern, &filter, legacy);
+  OnlineConfig single = base;
+  single.num_shards = 1;
+  const OnlineResult reference = RunOnline(stream, pattern, &filter, single);
 
   // Windows 0..1 run at level 0, 1..2 boosted, everything after shed.
   EXPECT_EQ(reference.stats.overload_escalations, 2u);
@@ -372,7 +159,7 @@ class PoisonWindowFilter : public StreamFilter {
 TEST(ShardedDegrade, DegradeToExactIsShardCountInvariant) {
   // max_windows_in_flight = 1 serializes close → mark → merge, so the
   // degraded/probe trajectory (which depends on merge-vs-close order)
-  // is a pure function of the window index in every mode. The poisoned
+  // is a pure function of the window index at every shard count. The poisoned
   // begins (windows 3 and 40 of the 16-step geometry) each force one
   // quarantine + degrade; probes recover well before the next poison.
   const EventStream stream = SmallStream(2000, 55);
@@ -389,9 +176,9 @@ TEST(ShardedDegrade, DegradeToExactIsShardCountInvariant) {
   base.health.probe_period = 4;
   base.health.probe_passes = 2;
 
-  OnlineConfig legacy = base;
-  legacy.num_threads = 2;
-  const OnlineResult reference = RunOnline(stream, pattern, &filter, legacy);
+  OnlineConfig single = base;
+  single.num_shards = 1;
+  const OnlineResult reference = RunOnline(stream, pattern, &filter, single);
 
   EXPECT_EQ(reference.stats.windows_quarantined, 2u);
   EXPECT_EQ(reference.stats.health_degrades, 2u);
@@ -437,22 +224,22 @@ std::string FreshDir(const std::string& name) {
 
 TEST(ShardedCheckpoint, KillAndRestoreMatchesLegacyUninterruptedRun) {
   // Checkpoints are written quiescently (all shards drained), so the
-  // snapshot carries no shard-count state: a sharded run killed
-  // mid-stream restores into another sharded run and finishes
-  // byte-identical to a legacy-pool run that was never interrupted.
+  // snapshot carries no shard-count state: a 2-shard run killed
+  // mid-stream restores into a 4-shard run and finishes byte-identical
+  // to a 1-shard run that was never interrupted.
   const EventStream stream = SmallStream(900, 77);
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   const std::string dir = FreshDir("ck_sharded_restore");
 
   PassThroughFilter pass_a;
   OnlineConfig config_a;
-  config_a.num_threads = 2;
+  config_a.num_shards = 1;
   config_a.overload.enabled = false;
   OnlineDlacep online_a(pattern, &pass_a, config_a);
   ReplaySource source_a(&stream);
   const OnlineResult a = online_a.Run(&source_a);
 
-  // Run B: sharded, permanent source failure mid-stream ("kill"), with
+  // Run B: 2 shards, permanent source failure mid-stream ("kill"), with
   // a final checkpoint written at abort.
   FaultPlan plan;
   plan.source_fail = true;
@@ -472,7 +259,7 @@ TEST(ShardedCheckpoint, KillAndRestoreMatchesLegacyUninterruptedRun) {
   EXPECT_TRUE(b.stats.source_aborted);
   EXPECT_TRUE(b.stats.Accounted());
 
-  // Run C: sharded (different shard count), restored from B's
+  // Run C: 4 shards, restored from B's
   // checkpoint over a fresh source.
   PassThroughFilter pass_c;
   OnlineConfig config_c;

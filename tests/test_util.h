@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "pattern/builder.h"
 #include "stream/generator.h"
+#include "stream/stocksim.h"
 #include "stream/stream.h"
 
 namespace dlacep {
@@ -24,6 +25,31 @@ inline EventStream SmallStream(size_t num_events, uint64_t seed,
   config.num_attrs = 1;
   config.seed = seed;
   return GenerateSynthetic(config);
+}
+
+/// A Zipf-skewed stock stream: a few hot symbols dominate, so symbols
+/// cluster in runs of windows — the regime in which shard routing must
+/// neither perturb output nor unbalance the shards.
+inline EventStream ZipfStockStream() {
+  StockSimConfig config;
+  config.num_events = 4000;
+  config.num_symbols = 12;
+  config.zipf_exponent = 1.4;
+  config.seed = 21;
+  return GenerateStockStream(config);
+}
+
+/// SEQ(S0 a, S1 b) with an ascending-volume condition, over a stock
+/// schema.
+inline Pattern StockSeqPattern(std::shared_ptr<const Schema> schema,
+                               size_t window) {
+  PatternBuilder builder(std::move(schema));
+  std::vector<PatternBuilder::Node> children;
+  children.push_back(builder.Prim("S0", "a"));
+  children.push_back(builder.Prim("S1", "b"));
+  auto root = builder.SeqOf(std::move(children));
+  builder.WhereCmp(1.0, "a", "vol", CmpOp::kLt, 1.2, "b");
+  return builder.BuildOrDie(std::move(root), WindowSpec::Count(window));
 }
 
 /// SEQ(A v0, B v1, ...) of `len` positions with ascending-volume

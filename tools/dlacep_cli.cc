@@ -10,19 +10,19 @@
 //             [--epochs N] [--num_threads N] [--shards N]
 //             [--save model.bin | --load model.bin]
 //       Train (or load) a DLACEP filter on the training stream and
-//       compare DLACEP against exact CEP on the test stream. With
+//       compare DLACEP against exact CEP on the test stream.
+//       --num_threads sets the batch pipeline's filtration workers. With
 //       --shards N the trained filter additionally streams the test
-//       set through the sharded online runtime and the match sets are
+//       set through the online runtime and the match sets are
 //       cross-checked.
 //   replay    --query Q --data F.csv [--filter KIND] [--rate R]
-//             [--queue_capacity N] [--num_threads N | --shards N]
-//             [--drop 0|1]
+//             [--queue_capacity N] [--shards N] [--drop 0|1]
 //       Stream a CSV through the online runtime (bounded ingest queue,
-//       worker pool or thread-per-core shards, overload control) and
-//       print RuntimeStats at exit. --shards N >= 1 selects the sharded
-//       runtime (consistent-hash routing, per-shard rings, core
-//       pinning; --pin 0 disables the pinning); output is byte-identical
-//       to --num_threads mode at any N.
+//       N shard workers, overload control) and print RuntimeStats at
+//       exit. --shards N (default 1, 0 = hardware concurrency) sets the
+//       shard count; window k goes to shard k mod N, and with N > 1
+//       each shard is pinned to a core (--pin 0 disables the pinning).
+//       Output is byte-identical at any N.
 //   serve     --query Q [--events N] [--symbols N] [--seed S]
 //             [--filter KIND] [--rate R] [--queue_capacity N] ...
 //       Like replay, but the source is live stock-market simulation.
@@ -73,6 +73,7 @@
 #include <vector>
 
 #include "cep/engine.h"
+#include "common/string_util.h"
 #include "dlacep/event_filter.h"
 #include "dlacep/multi_pattern.h"
 #include "dlacep/oracle_filter.h"
@@ -145,17 +146,16 @@ int Usage() {
                "       [--save model.bin | --load model.bin]\n"
                "  dlacep replay --query Q --data F.csv [--filter KIND]\n"
                "       [--rate EV_PER_SEC] [--queue_capacity N]"
-               " [--num_threads N | --shards N [--pin 0|1]]\n"
-               "       [--batch_size N] [--batch_timeout_ms MS]\n"
-               "       [--drop 0|1] [--overload 0|1] [--train F.csv]\n"
+               " [--shards N [--pin 0|1]]\n"
+               "       [--batch_size N] [--drop 0|1] [--overload 0|1]"
+               " [--train F.csv]\n"
                "  dlacep serve --query Q [--events N] [--symbols N]"
                " [--seed S]\n"
                "       [--filter KIND] [--rate EV_PER_SEC]"
                " [--queue_capacity N]\n"
-               "       [--num_threads N | --shards N [--pin 0|1]]"
-               " [--batch_size N] [--batch_timeout_ms MS]\n"
-               "       [--drop 0|1] [--overload 0|1]"
-               " [--train F.csv]\n"
+               "       [--shards N [--pin 0|1]] [--batch_size N]"
+               " [--drop 0|1] [--overload 0|1]\n"
+               "       [--train F.csv]\n"
                "  (online filter KINDs: pass | type-shed | random-shed |"
                " oracle | event | window)\n"
                "  multi-query serving (replay/serve/compare):\n"
@@ -441,7 +441,6 @@ OnlineConfig MakeOnlineConfig(const Args& args) {
   OnlineConfig config;
   config.queue_capacity =
       static_cast<size_t>(args.GetInt("queue_capacity", 1024));
-  config.num_threads = static_cast<size_t>(args.GetInt("num_threads", 1));
   config.drop_when_full = args.GetInt("drop", 0) != 0;
   config.overload.enabled = args.GetInt("overload", 1) != 0;
   config.drift.enabled = args.Has("drift_reference");
@@ -459,8 +458,7 @@ OnlineConfig MakeOnlineConfig(const Args& args) {
       static_cast<uint64_t>(args.GetInt("checkpoint_every", 0));
   config.checkpoint.restore = args.GetInt("restore", 0) != 0;
   config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
-  config.batch_timeout_ms = args.GetDouble("batch_timeout_ms", 2.0);
-  config.num_shards = static_cast<size_t>(args.GetInt("shards", 0));
+  config.num_shards = static_cast<size_t>(args.GetInt("shards", 1));
   config.pin_shard_threads = args.GetInt("pin", 1) != 0;
   const std::string engine = args.Get("engine", "nfa");
   config.engine = engine == "tree"       ? EngineKind::kTree
@@ -721,7 +719,7 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
   serve::QueryRegistry registry;
   for (size_t q = 0; q < patterns.size(); ++q) {
     serve::QueryOptions options;
-    options.name = "q" + std::to_string(q);
+    options.name = StrFormat("q%zu", q);
     options.engine = ParseEngineKind(args);
     auto id = registry.Register(patterns[q], options);
     if (!id.ok()) {
@@ -899,7 +897,7 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
     std::printf("\nisolated cross-check:\n");
     bool all_ok = true;
     for (size_t q = 0; q < patterns.size(); ++q) {
-      const std::string name = "q" + std::to_string(q);
+      const std::string name = StrFormat("q%zu", q);
       const serve::QueryResult* served = nullptr;
       for (const serve::QueryResult& query : result.queries) {
         if (query.name == name) {
@@ -962,7 +960,7 @@ int CompareMulti(const Args& args, const EventStream& train,
   serve::QueryRegistry registry;
   for (size_t q = 0; q < patterns.value().size(); ++q) {
     serve::QueryOptions options;
-    options.name = "q" + std::to_string(q);
+    options.name = StrFormat("q%zu", q);
     options.engine = ParseEngineKind(args);
     auto id = registry.Register(patterns.value()[q], options);
     if (!id.ok()) {
@@ -1072,6 +1070,19 @@ int Main(int argc, char** argv) {
   if (command == "generate") return Generate(args);
   if (command == "run") return RunQuery(args);
   if (command == "compare") return Compare(args);
+  if (command == "replay" || command == "serve") {
+    // Args ignores unknown flags, so a flag the online runtime no longer
+    // has would otherwise be dropped without a word.
+    for (const char* removed : {"num_threads", "batch_timeout_ms"}) {
+      if (args.Has(removed)) {
+        std::fprintf(stderr,
+                     "%s: --%s was removed; the online runtime's one "
+                     "parallelism setting is --shards N\n",
+                     command.c_str(), removed);
+        return 2;
+      }
+    }
+  }
   if (command == "replay") return Replay(args);
   if (command == "serve") return Serve(args);
   return Usage();
