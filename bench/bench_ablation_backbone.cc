@@ -25,9 +25,9 @@ class Borrowed : public StreamFilter {
  public:
   explicit Borrowed(StreamFilter* inner) : inner_(inner) {}
   std::string name() const override { return inner_->name(); }
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override {
-    return inner_->Mark(stream, range);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override {
+    inner_->MarkWindows(windows, ctx, marks);
   }
 
  private:

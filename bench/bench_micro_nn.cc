@@ -87,10 +87,11 @@ void BM_BiLstmInferSeqLen(benchmark::State& state) {
   StackedBiLstm stack("s", 8, 16, 2, &rng);
   const StackedBiLstmInfer frozen = Freeze(stack);
   const Matrix input = Matrix::Randn(t_steps, 8, 1.0, &rng);
+  const size_t offsets[] = {0, t_steps};
   InferenceContext ctx;
   for (auto _ : state) {
     ctx.Reset();
-    benchmark::DoNotOptimize(frozen.Forward(&ctx, input).data());
+    benchmark::DoNotOptimize(frozen.ForwardBatch(&ctx, input, offsets).data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(t_steps));
@@ -103,10 +104,11 @@ void BM_BiLstmInferHidden(benchmark::State& state) {
   StackedBiLstm stack("s", 8, hidden, 2, &rng);
   const StackedBiLstmInfer frozen = Freeze(stack);
   const Matrix input = Matrix::Randn(32, 8, 1.0, &rng);
+  const size_t offsets[] = {0, 32};
   InferenceContext ctx;
   for (auto _ : state) {
     ctx.Reset();
-    benchmark::DoNotOptimize(frozen.Forward(&ctx, input).data());
+    benchmark::DoNotOptimize(frozen.ForwardBatch(&ctx, input, offsets).data());
   }
 }
 BENCHMARK(BM_BiLstmInferHidden)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
@@ -169,7 +171,7 @@ void BM_EventFilterInferForward(benchmark::State& state) {
       Matrix::Randn(64, fx.featurizer.feature_dim(), 1.0, &rng);
   InferenceContext ctx;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(filter.MarkFeaturesWith(features, &ctx));
+    benchmark::DoNotOptimize(filter.MarkFeatures(features, &ctx));
   }
 }
 BENCHMARK(BM_EventFilterInferForward)->Arg(16)->Arg(64);

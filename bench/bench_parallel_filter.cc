@@ -47,36 +47,15 @@ namespace workloads {
 namespace {
 
 /// Non-owning view so one trained filter can serve several pipelines.
-/// Forwards every marking entry point, so the borrowed filter keeps its
-/// arena reuse (MarkWith) and its batched trunk (MarkBatchWith) instead
-/// of falling back to the base-class defaults.
+/// Forwards the marking core, so the borrowed filter keeps its arena
+/// reuse and its batched trunk.
 class BorrowedFilter : public StreamFilter {
  public:
   explicit BorrowedFilter(const StreamFilter* inner) : inner_(inner) {}
   std::string name() const override { return inner_->name(); }
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override {
-    return inner_->Mark(stream, range);
-  }
-  std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
-                            InferenceContext* ctx) const override {
-    return inner_->MarkWith(stream, range, ctx);
-  }
-  void MarkBatchWith(const EventStream& stream,
-                     std::span<const WindowRange> windows,
-                     InferenceContext* ctx,
-                     std::vector<int>* marks) const override {
-    inner_->MarkBatchWith(stream, windows, ctx, marks);
-  }
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext* ctx,
-                              double threshold_boost) const override {
-    return inner_->MarkOnline(window, stream_begin, ctx, threshold_boost);
-  }
-  void MarkBatchOnline(std::span<const OnlineWindow> windows,
-                       InferenceContext* ctx,
-                       std::vector<int>* marks) const override {
-    inner_->MarkBatchOnline(windows, ctx, marks);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override {
+    inner_->MarkWindows(windows, ctx, marks);
   }
 
  private:
@@ -84,18 +63,19 @@ class BorrowedFilter : public StreamFilter {
 };
 
 /// Tape-path view: routes every window through featurization plus the
-/// autograd tape forward — the pre-fast-path cost model. MarkWith is
-/// inherited (it drops the context and calls Mark), so the pipeline's
+/// autograd tape forward — the pre-fast-path cost model. The pipeline's
 /// per-worker arenas are deliberately unused on this side.
 class TapePathFilter : public StreamFilter {
  public:
   TapePathFilter(const TrainableFilter* inner, const Featurizer* featurizer)
       : inner_(inner), featurizer_(featurizer) {}
   std::string name() const override { return inner_->name() + "+tape"; }
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override {
-    return inner_->MarkFeaturesTape(
-        featurizer_->Encode(stream.View(range.begin, range.size())));
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      marks[w] =
+          inner_->MarkFeaturesTape(featurizer_->Encode(windows[w].events));
+    }
   }
 
  private:

@@ -45,16 +45,16 @@ struct DlacepConfig {
   /// fixed-size thread pool and merges the per-window marks back in
   /// window order — the marked-event sequence, MatchSet, and
   /// filtering_ratio() are byte-identical to the sequential run
-  /// (tests/determinism_test.cc). 1 = the exact legacy sequential path
+  /// (tests/determinism_test.cc). 1 = inline on the calling thread
   /// (default); 0 = hardware concurrency.
   size_t num_threads = 1;
 
-  /// Windows marked per filter call in the filtration stage. 1 = the
-  /// exact legacy per-window path (default). >1 groups consecutive
-  /// assembler windows into micro-batches of this size (the tail batch
-  /// may be smaller) and marks each with one MarkBatchWith call, so the
-  /// NN trunk runs matrix-matrix GEMMs across windows. Batched marks are
-  /// byte-identical to the per-window marks; the underlying activations
+  /// Windows marked per filter call in the filtration stage: the stage
+  /// groups consecutive assembler windows into chunks of this size (the
+  /// tail chunk may be smaller) and marks each with one MarkBatchWith
+  /// call. 1 (default) marks each window as a batch of one; >1 lets the
+  /// NN trunk run matrix-matrix GEMMs across windows. Marks are
+  /// byte-identical at every batch size; the underlying activations
   /// agree to <= 1e-9 (see nn/infer.h).
   size_t batch_size = 1;
 

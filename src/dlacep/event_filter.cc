@@ -1,8 +1,6 @@
 #include "dlacep/event_filter.h"
 
-#include <algorithm>
-#include <cmath>
-
+#include "dlacep/slab.h"
 #include "obs/stages.h"
 #include "obs/trace.h"
 
@@ -50,200 +48,41 @@ std::vector<Parameter*> EventNetworkFilter::Params() {
   return params;
 }
 
-std::vector<int> EventNetworkFilter::Threshold(const Matrix& marginals,
-                                               double threshold) const {
-  std::vector<int> marks(marginals.rows());
-  for (size_t t = 0; t < marginals.rows(); ++t) {
-    const double score = marginals(t, 1);
-    if (!std::isfinite(score)) {
-      // NaN compares false against any threshold, which would silently
-      // drop the event. Surface the blown-up pass as a whole-window
-      // sentinel instead; downstream either relays everything (batch) or
-      // quarantines and degrades (online HealthGuard).
-      return std::vector<int>(marginals.rows(), kInvalidMark);
-    }
-    marks[t] = score >= threshold ? 1 : 0;
-  }
-  return marks;
-}
-
-std::vector<int> EventNetworkFilter::MarkFeaturesAt(
-    const Matrix& features, InferenceContext* ctx,
-    double threshold) const {
+void EventNetworkFilter::MarkSlab(std::span<const Matrix> features,
+                                  const Matrix& thresholds,
+                                  InferenceContext* ctx,
+                                  std::vector<int>* marks) const {
   obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-  const Matrix& h = frozen_.stack.Forward(c, features);
-  Matrix& emissions_f = c->Acquire(features.rows(), 2);
-  Matrix& emissions_b = c->Acquire(features.rows(), 2);
-  frozen_.head_fwd.Forward(h, &emissions_f);
-  frozen_.head_bwd.Forward(h, &emissions_b);
-  return Threshold(crf_.Marginals(emissions_f, emissions_b), threshold);
+  ctx->Reset();
+  std::vector<size_t> offsets;
+  const Matrix& x_all = StackSlab(features, ctx, &offsets);
+  DecodeCrfSlab(frozen_.stack.ForwardBatch(ctx, x_all, offsets), offsets,
+                frozen_.head_fwd, frozen_.head_bwd, crf_, thresholds, ctx,
+                marks);
 }
 
-void EventNetworkFilter::MarkFeaturesBatchAt(
-    std::span<const Matrix> features, InferenceContext* ctx,
+void EventNetworkFilter::MarkWindows(std::span<const WindowView> windows,
+                                     InferenceContext* ctx,
+                                     std::vector<int>* marks) const {
+  MarkWindowsMultiHead(windows, ctx, {&event_threshold_, 1}, marks);
+}
+
+void EventNetworkFilter::MarkWindowsMultiHead(
+    std::span<const WindowView> windows, InferenceContext* ctx,
     std::span<const double> thresholds, std::vector<int>* marks) const {
-  const size_t batch = features.size();
-  if (batch == 0) return;
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-
-  std::vector<size_t> offsets(batch + 1, 0);
-  for (size_t w = 0; w < batch; ++w) {
-    offsets[w + 1] = offsets[w] + features[w].rows();
-  }
-  Matrix& x_all = c->Acquire(offsets[batch], features[0].cols());
-  for (size_t w = 0; w < batch; ++w) {
-    std::copy_n(features[w].data(), features[w].rows() * features[w].cols(),
-                x_all.data() + offsets[w] * x_all.cols());
-  }
-
-  const Matrix& h = frozen_.stack.ForwardBatch(c, x_all, offsets);
-  // The emission heads are row-local dot products (MatMulTransBInto),
-  // so one stacked call over the slab equals per-window heads bit for
-  // bit.
-  Matrix& emissions_f = c->Acquire(offsets[batch], 2);
-  Matrix& emissions_b = c->Acquire(offsets[batch], 2);
-  frozen_.head_fwd.ForwardBatch(h, &emissions_f);
-  frozen_.head_bwd.ForwardBatch(h, &emissions_b);
-
-  // The CRF chains stay per-window: slice each window's emissions back
-  // out and decode against its own threshold (batched windows may carry
-  // different overload boosts).
-  for (size_t w = 0; w < batch; ++w) {
-    const size_t t_len = offsets[w + 1] - offsets[w];
-    Matrix& ef = c->Acquire(t_len, 2);
-    Matrix& eb = c->Acquire(t_len, 2);
-    std::copy_n(emissions_f.data() + offsets[w] * 2, t_len * 2, ef.data());
-    std::copy_n(emissions_b.data() + offsets[w] * 2, t_len * 2, eb.data());
-    marks[w] = Threshold(crf_.Marginals(ef, eb), thresholds[w]);
-  }
-}
-
-void EventNetworkFilter::MarkBatchWith(const EventStream& stream,
-                                       std::span<const WindowRange> windows,
-                                       InferenceContext* ctx,
-                                       std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  std::vector<Matrix> features;
-  features.reserve(windows.size());
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const WindowRange& range : windows) {
-      features.push_back(
-          featurizer_->Encode(stream.View(range.begin, range.size())));
-    }
-  }
-  const std::vector<double> thresholds(windows.size(), event_threshold_);
-  MarkFeaturesBatchAt(features, ctx, thresholds, marks);
-}
-
-void EventNetworkFilter::MarkBatchOnline(std::span<const OnlineWindow> windows,
-                                         InferenceContext* ctx,
-                                         std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  std::vector<Matrix> features;
-  std::vector<double> thresholds;
-  features.reserve(windows.size());
-  thresholds.reserve(windows.size());
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const OnlineWindow& w : windows) {
-      features.push_back(
-          featurizer_->Encode(w.events->View(0, w.events->size())));
-      thresholds.push_back(event_threshold_ + w.threshold_boost);
-    }
-  }
-  MarkFeaturesBatchAt(features, ctx, thresholds, marks);
-}
-
-void EventNetworkFilter::MarkOnlineMultiHead(
-    const EventStream& window, InferenceContext* ctx,
-    std::span<const double> thresholds,
-    std::vector<std::vector<int>>* marks) const {
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  Matrix features = featurizer_->Encode(window.View(0, window.size()));
-  feature_span.Finish();
-
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-  const Matrix& h = frozen_.stack.Forward(c, features);
-  Matrix& emissions_f = c->Acquire(features.rows(), 2);
-  Matrix& emissions_b = c->Acquire(features.rows(), 2);
-  frozen_.head_fwd.Forward(h, &emissions_f);
-  frozen_.head_bwd.Forward(h, &emissions_b);
-  const Matrix marginals = crf_.Marginals(emissions_f, emissions_b);
-  marks->resize(thresholds.size());
-  for (size_t q = 0; q < thresholds.size(); ++q) {
-    (*marks)[q] = Threshold(marginals, thresholds[q]);
-  }
-}
-
-void EventNetworkFilter::MarkBatchOnlineMultiHead(
-    std::span<const OnlineWindow> windows, InferenceContext* ctx,
-    std::span<const double> thresholds,
-    std::vector<std::vector<std::vector<int>>>* marks) const {
-  const size_t batch = windows.size();
-  marks->assign(batch, {});
-  if (batch == 0) return;
-  std::vector<Matrix> features;
-  features.reserve(batch);
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const OnlineWindow& w : windows) {
-      features.push_back(
-          featurizer_->Encode(w.events->View(0, w.events->size())));
-    }
-  }
-
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-  std::vector<size_t> offsets(batch + 1, 0);
-  for (size_t w = 0; w < batch; ++w) {
-    offsets[w + 1] = offsets[w] + features[w].rows();
-  }
-  Matrix& x_all = c->Acquire(offsets[batch], features[0].cols());
-  for (size_t w = 0; w < batch; ++w) {
-    std::copy_n(features[w].data(), features[w].rows() * features[w].cols(),
-                x_all.data() + offsets[w] * x_all.cols());
-  }
-  const Matrix& h = frozen_.stack.ForwardBatch(c, x_all, offsets);
-  Matrix& emissions_f = c->Acquire(offsets[batch], 2);
-  Matrix& emissions_b = c->Acquire(offsets[batch], 2);
-  frozen_.head_fwd.ForwardBatch(h, &emissions_f);
-  frozen_.head_bwd.ForwardBatch(h, &emissions_b);
-
-  for (size_t w = 0; w < batch; ++w) {
-    const size_t t_len = offsets[w + 1] - offsets[w];
-    Matrix& ef = c->Acquire(t_len, 2);
-    Matrix& eb = c->Acquire(t_len, 2);
-    std::copy_n(emissions_f.data() + offsets[w] * 2, t_len * 2, ef.data());
-    std::copy_n(emissions_b.data() + offsets[w] * 2, t_len * 2, eb.data());
-    const Matrix marginals = crf_.Marginals(ef, eb);
-    (*marks)[w].resize(thresholds.size());
-    for (size_t q = 0; q < thresholds.size(); ++q) {
-      (*marks)[w][q] =
-          Threshold(marginals, thresholds[q] + windows[w].threshold_boost);
-    }
-  }
-}
-
-std::vector<int> EventNetworkFilter::MarkFeaturesWith(
-    const Matrix& features, InferenceContext* ctx) const {
-  return MarkFeaturesAt(features, ctx, event_threshold_);
+  const std::vector<Matrix> features = EncodeWindows(*featurizer_, windows);
+  MarkSlab(features, WindowThresholds(windows, thresholds), ctx, marks);
 }
 
 std::vector<int> EventNetworkFilter::MarkFeatures(
-    const Matrix& features) const {
-  return MarkFeaturesWith(features, nullptr);
+    const Matrix& features, InferenceContext* ctx) const {
+  if (ctx == nullptr) {
+    InferenceContext local;
+    return MarkFeatures(features, &local);
+  }
+  std::vector<int> marks;
+  MarkSlab({&features, 1}, Matrix(1, 1, event_threshold_), ctx, &marks);
+  return marks;
 }
 
 std::vector<int> EventNetworkFilter::MarkFeaturesTape(
@@ -251,33 +90,9 @@ std::vector<int> EventNetworkFilter::MarkFeaturesTape(
   obs::TraceSpan forward_span(obs::StageNnForwardTape());
   Tape tape;
   auto [emissions_f, emissions_b] = Emissions(&tape, features);
-  return Threshold(crf_.Marginals(emissions_f.value(), emissions_b.value()),
-                   event_threshold_);
-}
-
-std::vector<int> EventNetworkFilter::Mark(const EventStream& stream,
-                                          WindowRange range) const {
-  return MarkWith(stream, range, nullptr);
-}
-
-std::vector<int> EventNetworkFilter::MarkWith(const EventStream& stream,
-                                              WindowRange range,
-                                              InferenceContext* ctx) const {
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  Matrix features =
-      featurizer_->Encode(stream.View(range.begin, range.size()));
-  feature_span.Finish();
-  return MarkFeaturesWith(features, ctx);
-}
-
-std::vector<int> EventNetworkFilter::MarkOnline(
-    const EventStream& window, size_t stream_begin, InferenceContext* ctx,
-    double threshold_boost) const {
-  (void)stream_begin;  // content-based: marks don't depend on position
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  Matrix features = featurizer_->Encode(window.View(0, window.size()));
-  feature_span.Finish();
-  return MarkFeaturesAt(features, ctx, event_threshold_ + threshold_boost);
+  return ThresholdMarginals(
+      crf_.Marginals(emissions_f.value(), emissions_b.value()),
+      event_threshold_);
 }
 
 TrainResult EventNetworkFilter::Fit(const std::vector<Sample>& samples,
@@ -290,8 +105,9 @@ TrainResult EventNetworkFilter::Fit(const std::vector<Sample>& samples,
 BinaryMetrics EventNetworkFilter::Score(
     const std::vector<Sample>& samples) const {
   BinaryMetrics metrics;
+  InferenceContext ctx;
   for (const Sample& sample : samples) {
-    metrics.Accumulate(MarkFeatures(sample.features), sample.labels);
+    metrics.Accumulate(MarkFeatures(sample.features, &ctx), sample.labels);
   }
   return metrics;
 }

@@ -25,41 +25,22 @@ class EventNetworkFilter : public TrainableFilter, public SequenceModel {
 
   std::string name() const override { return "event-network"; }
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override;
-  std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
-                            InferenceContext* ctx) const override;
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext* ctx,
-                              double threshold_boost) const override;
-  void MarkBatchWith(const EventStream& stream,
-                     std::span<const WindowRange> windows,
-                     InferenceContext* ctx,
-                     std::vector<int>* marks) const override;
-  void MarkBatchOnline(std::span<const OnlineWindow> windows,
-                       InferenceContext* ctx,
-                       std::vector<int>* marks) const override;
-  /// Multi-head decoding for the serving layer (src/serve): featurize
-  /// and run the trunk + CRF-marginal pass once, then decode the shared
-  /// marginals against one threshold per registered query. (*marks)[q]
-  /// equals MarkOnline(window, ., ctx, thresholds[q] - event_threshold)
-  /// bit for bit — the trunk forward is query-independent.
-  void MarkOnlineMultiHead(const EventStream& window, InferenceContext* ctx,
-                           std::span<const double> thresholds,
-                           std::vector<std::vector<int>>* marks) const;
-  /// Batched multi-head: trunk + emission heads run once over the
-  /// ForwardBatch slab (as MarkBatchOnline), then each window's
-  /// marginals decode against every query threshold, the window's
-  /// overload boost added to each. (*marks)[w][q] is window w under
-  /// query q's threshold.
-  void MarkBatchOnlineMultiHead(
-      std::span<const OnlineWindow> windows, InferenceContext* ctx,
-      std::span<const double> thresholds,
-      std::vector<std::vector<std::vector<int>>>* marks) const;
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override;
+  /// Multi-head marking for the serving layer (src/serve): featurize
+  /// and run the trunk + CRF-marginal pass once over the batch slab,
+  /// then decode each window's shared marginals against every query
+  /// threshold plus the window's overload boost. marks[w * Q + q] is
+  /// window w under thresholds[q] (Q = thresholds.size()) and equals
+  /// MarkWindows() with the filter's threshold set to thresholds[q] —
+  /// the trunk forward is query-independent. `ctx` must not be null.
+  void MarkWindowsMultiHead(std::span<const WindowView> windows,
+                            InferenceContext* ctx,
+                            std::span<const double> thresholds,
+                            std::vector<int>* marks) const;
   double event_threshold() const { return event_threshold_; }
-  std::vector<int> MarkFeatures(const Matrix& features) const override;
-  std::vector<int> MarkFeaturesWith(const Matrix& features,
-                                    InferenceContext* ctx) const override;
+  std::vector<int> MarkFeatures(const Matrix& features,
+                                InferenceContext* ctx) const override;
   std::vector<int> MarkFeaturesTape(const Matrix& features) const override;
   void OnParamsChanged() override;
 
@@ -74,18 +55,11 @@ class EventNetworkFilter : public TrainableFilter, public SequenceModel {
 
  private:
   std::pair<Var, Var> Emissions(Tape* tape, const Matrix& features) const;
-  std::vector<int> Threshold(const Matrix& marginals,
-                             double threshold) const;
-  std::vector<int> MarkFeaturesAt(const Matrix& features,
-                                  InferenceContext* ctx,
-                                  double threshold) const;
-  /// Batched MarkFeaturesAt: stacks the feature matrices batch-major,
-  /// runs the trunk + emission heads once over the slab, then decodes
-  /// each window's CRF chain against its own threshold.
-  void MarkFeaturesBatchAt(std::span<const Matrix> features,
-                           InferenceContext* ctx,
-                           std::span<const double> thresholds,
-                           std::vector<int>* marks) const;
+  /// The slab core: stacks the windows' features, runs the trunk once,
+  /// and decodes window w against row w of `thresholds` (B×H), writing
+  /// marks[w * H + h].
+  void MarkSlab(std::span<const Matrix> features, const Matrix& thresholds,
+                InferenceContext* ctx, std::vector<int>* marks) const;
   void Refreeze();
 
   const Featurizer* featurizer_;  ///< not owned

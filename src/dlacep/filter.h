@@ -1,6 +1,7 @@
 // The stream-filter interface of the filtration-based ACEP system
-// (paper §3.1, §4.3): given one assembler window, mark the events that
-// should be relayed to the CEP extractor.
+// (paper §3.1, §4.3): given assembler windows, mark the events that
+// should be relayed to the CEP extractor. One batched marking core per
+// filter; a single window is a batch of one.
 
 #ifndef DLACEP_DLACEP_FILTER_H_
 #define DLACEP_DLACEP_FILTER_H_
@@ -38,6 +39,39 @@ struct OnlineWindow {
   double threshold_boost = 0.0;
 };
 
+/// One window as a filter's marking core sees it, whichever entry point
+/// the caller used.
+struct WindowView {
+  std::span<const Event> events;
+  /// The window's position key, for filters whose marks depend on where
+  /// the window sits (random shedding salts by it): range.begin on the
+  /// batch entry points; on the online ones, the head event's arrival
+  /// id (stream_begin for an empty window). Arrival ids travel with a
+  /// detached window, so online marks cannot depend on dispatch order
+  /// or shard count; in a lossless run the two keys are equal.
+  size_t position = 0;
+  /// Overload-control increment added to a network filter's decision
+  /// threshold so borderline entities are shed first (0 = normal
+  /// operation, and always 0 on the batch entry points).
+  double threshold_boost = 0.0;
+};
+
+/// A stream filter marks the events of assembler windows for relay.
+///
+/// Every concrete filter implements exactly one marking core,
+/// MarkWindows(), over a batch of WindowViews; B = 1 is a batch like any
+/// other. The five public entry points are adapters defined once here:
+/// they turn stream ranges or detached online windows into views and
+/// call the core. They stay virtual only so that forwarding wrappers
+/// (perfbench's TracingFilter) can intercept every call.
+///
+/// Marking is const and must be re-entrant: the batch pipeline calls it
+/// concurrently from its filtration workers and the online runtime from
+/// every shard. Implementations may only read shared state (model
+/// parameters, featurizer statistics) and must keep any scratch (rngs)
+/// local to the call, or serialize access internally. An
+/// InferenceContext passed in must not be shared across concurrent
+/// calls; nullptr gives the call a local arena.
 class StreamFilter {
  public:
   virtual ~StreamFilter() = default;
@@ -45,78 +79,47 @@ class StreamFilter {
   virtual std::string name() const = 0;
 
   /// Per-event 0/1 marks for stream[range] (1 = relay).
-  ///
-  /// Mark() is const and must be re-entrant: when the pipeline runs
-  /// with num_threads > 1 it invokes Mark() concurrently from worker
-  /// threads, one assembler window per task. Implementations may only
-  /// read shared state (model parameters, featurizer statistics) and
-  /// must keep any scratch (tapes, rngs) local to the call, or
-  /// serialize access internally.
   virtual std::vector<int> Mark(const EventStream& stream,
-                                WindowRange range) const = 0;
+                                WindowRange range) const;
 
-  /// Mark() with a caller-provided reusable scratch arena. The pipeline
-  /// threads one InferenceContext per worker through here so that
-  /// network filters run allocation-free after the first window; `ctx`
-  /// must not be shared across concurrent calls. Filters without a
-  /// network (oracle, pass-through, shedding) ignore it.
+  /// Mark() with a caller-provided reusable scratch arena, so network
+  /// filters run allocation-free after the first window.
   virtual std::vector<int> MarkWith(const EventStream& stream,
                                     WindowRange range,
-                                    InferenceContext* ctx) const {
-    (void)ctx;
-    return Mark(stream, range);
-  }
+                                    InferenceContext* ctx) const;
 
   /// Marks one assembler window that the online runtime has
   /// materialized as a standalone stream: `window` holds copies of the
-  /// events (with their arrival ids) and `stream_begin` is the window's
-  /// position in the full stream. The default forwards to MarkWith over
-  /// the whole window, which is correct for any content-based filter;
-  /// position-salted filters (random shedding) override it to recover
-  /// their global salt, and network filters override it to honor
-  /// `threshold_boost` — an overload-control increment added to their
-  /// decision threshold so borderline entities are shed first (0 =
-  /// normal operation). Same const/re-entrancy contract as Mark().
+  /// events (with their arrival ids), `stream_begin` is the window's
+  /// position in the full stream, and `threshold_boost` the overload
+  /// increment in force when it closed.
   virtual std::vector<int> MarkOnline(const EventStream& window,
                                       size_t stream_begin,
                                       InferenceContext* ctx,
-                                      double threshold_boost) const {
-    (void)stream_begin;
-    (void)threshold_boost;
-    return MarkWith(window, WindowRange{0, window.size()}, ctx);
-  }
+                                      double threshold_boost) const;
 
-  /// Marks a micro-batch of assembler windows in one call, writing
-  /// windows.size() mark vectors to `marks[0..B)` in window order. The
-  /// default is a per-window MarkWith loop — exact legacy semantics for
-  /// filters with nothing to batch (oracle, pass-through, shedding).
-  /// Network filters override it to stack the windows' feature matrices
-  /// batch-major and run the trunk once as matrix-matrix work
-  /// (nn/infer.h ForwardBatch); batched marks must equal the per-window
-  /// marks byte for byte. Same const/re-entrancy contract as Mark();
-  /// `ctx` must not be shared across concurrent calls.
+  /// Marks a micro-batch of stream ranges in one call, writing
+  /// windows.size() mark vectors to `marks[0..B)` in window order.
   virtual void MarkBatchWith(const EventStream& stream,
                              std::span<const WindowRange> windows,
                              InferenceContext* ctx,
-                             std::vector<int>* marks) const {
-    for (size_t i = 0; i < windows.size(); ++i) {
-      marks[i] = MarkWith(stream, windows[i], ctx);
-    }
-  }
+                             std::vector<int>* marks) const;
 
-  /// Batched twin of MarkOnline for the online runtime's
-  /// batch-collection stage. The default loops MarkOnline — which keeps
-  /// position-salted filters (random shedding) exactly deterministic —
-  /// and network filters override it to batch the trunk forward while
-  /// still applying each window's own threshold boost.
+  /// Batched twin of MarkOnline for the online runtime's shards.
   virtual void MarkBatchOnline(std::span<const OnlineWindow> windows,
                                InferenceContext* ctx,
-                               std::vector<int>* marks) const {
-    for (size_t i = 0; i < windows.size(); ++i) {
-      marks[i] = MarkOnline(*windows[i].events, windows[i].stream_begin, ctx,
-                            windows[i].threshold_boost);
-    }
-  }
+                               std::vector<int>* marks) const;
+
+  /// The marking core: writes windows.size() mark vectors to
+  /// `marks[0..B)`, one mark per event of each view, in window order.
+  /// `ctx` is never null. Network filters featurize the B views into
+  /// one batch-major slab and run their trunk once over it (nn/infer.h
+  /// ForwardBatch), so marks never depend on how windows were grouped
+  /// into batches. Every filter must override this; the default aborts
+  /// (only wrappers that override all five entry points may skip it).
+  virtual void MarkWindows(std::span<const WindowView> windows,
+                           InferenceContext* ctx,
+                           std::vector<int>* marks) const;
 };
 
 /// A filter backed by a trainable network.
@@ -127,19 +130,11 @@ class TrainableFilter : public StreamFilter {
   virtual TrainResult Fit(const std::vector<Sample>& samples,
                           const TrainConfig& config) = 0;
 
-  /// Marks from pre-encoded features (used during evaluation so that the
-  /// featurization cost is attributed to the filter). Const/re-entrant
-  /// under the same contract as Mark().
-  virtual std::vector<int> MarkFeatures(const Matrix& features) const = 0;
-
-  /// MarkFeatures() with a caller-provided scratch arena (nullptr = use
-  /// a call-local one). Same re-entrancy contract; a given `ctx` must
-  /// not be shared across concurrent calls.
-  virtual std::vector<int> MarkFeaturesWith(const Matrix& features,
-                                            InferenceContext* ctx) const {
-    (void)ctx;
-    return MarkFeatures(features);
-  }
+  /// Marks from pre-encoded features (how Score() evaluates the
+  /// network): the marking core at B = 1 and the default threshold,
+  /// minus featurization. `ctx` may be null (call-local arena).
+  virtual std::vector<int> MarkFeatures(const Matrix& features,
+                                        InferenceContext* ctx) const = 0;
 
   /// Golden-reference marks via the autograd tape forward (the training
   /// machinery). Slow — kept so equivalence tests and before/after

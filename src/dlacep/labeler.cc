@@ -34,12 +34,15 @@ SampleLabeler::SampleLabeler(const Pattern& pattern) : pattern_(pattern) {
 
 LabeledSample SampleLabeler::Label(const EventStream& stream,
                                    WindowRange range) const {
-  LabeledSample sample;
+  LabeledSample sample = Label(stream.View(range.begin, range.size()));
   sample.range = range;
-  sample.event_labels.assign(range.size(), 0);
+  return sample;
+}
 
-  const std::span<const Event> span =
-      stream.View(range.begin, range.size());
+LabeledSample SampleLabeler::Label(std::span<const Event> span) const {
+  LabeledSample sample;
+  sample.event_labels.assign(span.size(), 0);
+
   MatchSet matches;
   {
     std::lock_guard<std::mutex> lock(engine_mu_);

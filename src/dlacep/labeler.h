@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "cep/engine.h"
@@ -44,6 +45,8 @@ class SampleLabeler {
   /// Re-entrant: concurrent calls are serialized on the internal engine
   /// (OracleFilter::Mark runs under the pipeline's thread pool).
   LabeledSample Label(const EventStream& stream, WindowRange range) const;
+  /// Label() over a window view (`range` left empty).
+  LabeledSample Label(std::span<const Event> window) const;
 
  private:
   Pattern pattern_;

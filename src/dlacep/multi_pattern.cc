@@ -1,7 +1,6 @@
 #include "dlacep/multi_pattern.h"
 
 #include <algorithm>
-#include <span>
 
 #include "common/timer.h"
 #include "dlacep/extractor.h"
@@ -107,46 +106,25 @@ MultiPatternResult MultiPatternDlacep::Evaluate(const EventStream& stream) {
       config_.step_size != 0 ? config_.step_size : max_window_;
   const InputAssembler assembler(mark, step);
 
-  // Tape-free fast path: one InferenceContext scratch arena reused
-  // across windows (MarkWith), and the cross-window batched trunk
-  // (MarkBatchWith) when batch_size > 1 — same marks as the legacy
-  // autograd-tape Mark, bit for bit (tests/extensions_test.cc).
+  // The pipeline's filtration stage, inline (one scratch arena): the
+  // same chunked MarkBatchWith calls, the same window-order merge, and
+  // the same deduplicated relay count, blanks included.
   Stopwatch filter_watch;
-  std::vector<const Event*> marked;
-  InferenceContext ctx;
-  const std::vector<WindowRange> windows = assembler.Windows(stream.size());
-  const size_t batch = std::max<size_t>(config_.batch_size, 1);
-  auto collect = [&](const WindowRange& range, const std::vector<int>& marks) {
-    for (size_t t = 0; t < marks.size(); ++t) {
-      if (marks[t] != 0) marked.push_back(&stream[range.begin + t]);
-    }
-  };
-  if (batch > 1) {
-    std::vector<std::vector<int>> marks(batch);
-    for (size_t w = 0; w < windows.size(); w += batch) {
-      const size_t n = std::min(batch, windows.size() - w);
-      const std::span<const WindowRange> chunk(&windows[w], n);
-      filter_->MarkBatchWith(stream, chunk, &ctx, marks.data());
-      for (size_t i = 0; i < n; ++i) collect(chunk[i], marks[i]);
-    }
-  } else {
-    for (const WindowRange& range : windows) {
-      collect(range, filter_->MarkWith(stream, range, &ctx));
-    }
-  }
+  std::vector<std::unique_ptr<InferenceContext>> contexts;
+  const Filtration filtration =
+      RunFiltration(*filter_, stream, assembler.Windows(stream.size()),
+                    config_.batch_size, /*pool=*/nullptr, &contexts);
+  result.marked_events = filtration.marked_events;
   result.filter_seconds = filter_watch.ElapsedSeconds();
 
   Stopwatch cep_watch;
   result.per_pattern.resize(patterns_.size());
-  size_t marked_unique = 0;
   for (size_t p = 0; p < patterns_.size(); ++p) {
     CepExtractor extractor(patterns_[p]);
     const Status status =
-        extractor.Extract(marked, &result.per_pattern[p]);
+        extractor.Extract(filtration.relayed, &result.per_pattern[p]);
     DLACEP_CHECK_MSG(status.ok(), status.ToString());
-    marked_unique = extractor.stats().events_processed;
   }
-  result.marked_events = marked_unique;
   result.cep_seconds = cep_watch.ElapsedSeconds();
   return result;
 }

@@ -28,6 +28,7 @@ namespace dlacep {
 struct MultiPatternResult {
   std::vector<MatchSet> per_pattern;
   size_t total_events = 0;
+  /// Deduplicated relayed events, blanks included (see Filtration).
   size_t marked_events = 0;
   double filter_seconds = 0.0;
   double cep_seconds = 0.0;

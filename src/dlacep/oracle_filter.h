@@ -18,11 +18,13 @@ class OracleFilter : public StreamFilter {
   std::string name() const override { return "oracle"; }
 
   // Re-entrancy: SampleLabeler::Label serializes access to its internal
-  // CEP engine, so concurrent Mark() calls from the parallel filtration
-  // stage are safe (though the oracle itself won't scale with threads).
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override {
-    return labeler_.Label(stream, range).event_labels;
+  // CEP engine, so concurrent calls from the parallel filtration stage
+  // are safe (though the oracle itself won't scale with threads).
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      marks[w] = labeler_.Label(windows[w].events).event_labels;
+    }
   }
 
  private:
@@ -35,9 +37,11 @@ class PassThroughFilter : public StreamFilter {
  public:
   std::string name() const override { return "pass-through"; }
 
-  std::vector<int> Mark(const EventStream&,
-                        WindowRange range) const override {
-    return std::vector<int>(range.size(), 1);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      marks[w].assign(windows[w].events.size(), 1);
+    }
   }
 };
 

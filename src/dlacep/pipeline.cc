@@ -43,59 +43,39 @@ ThreadPool* DlacepPipeline::FiltrationPool() {
   return pool_.get();
 }
 
-PipelineResult DlacepPipeline::Evaluate(const EventStream& stream) {
-  PipelineResult result;
-  result.total_events = stream.size();
-
-  // Filtration: every assembler window is an independent forward-only
-  // inference (filters are const/re-entrant), so windows fan out over
-  // the pool into per-window mark buffers. Each worker gets its own
-  // InferenceContext scratch arena, so the network filters reuse their
-  // activation buffers across windows instead of reallocating (or,
-  // before the fast path existed, building a whole autograd tape).
-  // filter_seconds stays wall clock: it brackets the whole fan-out.
-  Stopwatch filter_watch;
-  const std::vector<WindowRange> windows =
-      assembler_.Windows(stream.size());
-  std::vector<std::vector<int>> window_marks(windows.size());
-  const StreamFilter& filter = *filter_;
-  ThreadPool* pool = FiltrationPool();
+Filtration RunFiltration(
+    const StreamFilter& filter, const EventStream& stream,
+    std::span<const WindowRange> windows, size_t batch_size,
+    ThreadPool* pool,
+    std::vector<std::unique_ptr<InferenceContext>>* contexts) {
+  // Every assembler window is an independent forward-only inference
+  // (filters are const/re-entrant), so chunks of consecutive windows
+  // fan out over the pool into per-window mark buffers. Each worker
+  // gets its own InferenceContext scratch arena, so the network filters
+  // reuse their activation buffers across windows.
   const size_t workers = pool != nullptr ? pool->num_threads() : 1;
-  while (contexts_.size() < workers) {
-    contexts_.push_back(std::make_unique<InferenceContext>());
+  while (contexts->size() < workers) {
+    contexts->push_back(std::make_unique<InferenceContext>());
   }
-  const size_t batch_size = config_.batch_size > 1 ? config_.batch_size : 1;
-  if (batch_size == 1) {
-    ParallelForWorker(pool, windows.size(), [&](size_t worker, size_t i) {
-      obs::TraceSpan mark_span(obs::StageWindowMark());
-      window_marks[i] =
-          filter.MarkWith(stream, windows[i], contexts_[worker].get());
-    });
-  } else {
-    // Micro-batched filtration: consecutive windows are grouped into
-    // fixed chunks of batch_size (tail chunk smaller) and each chunk is
-    // one MarkBatchWith call — the NN trunk sees matrix-matrix work.
-    // Chunk boundaries depend only on batch_size, never on the worker
-    // count, so marks stay byte-identical across num_threads.
-    const size_t num_batches = (windows.size() + batch_size - 1) / batch_size;
-    ParallelForWorker(pool, num_batches, [&](size_t worker, size_t bi) {
-      obs::TraceSpan mark_span(obs::StageWindowMark());
-      const size_t begin = bi * batch_size;
-      const size_t count = std::min(batch_size, windows.size() - begin);
-      filter.MarkBatchWith(
-          stream, std::span<const WindowRange>(windows.data() + begin, count),
-          contexts_[worker].get(), window_marks.data() + begin);
-    });
-  }
+  const size_t chunk = std::max<size_t>(batch_size, 1);
+  std::vector<std::vector<int>> window_marks(windows.size());
+  const size_t num_chunks = (windows.size() + chunk - 1) / chunk;
+  ParallelForWorker(pool, num_chunks, [&](size_t worker, size_t ci) {
+    obs::TraceSpan mark_span(obs::StageWindowMark());
+    const size_t begin = ci * chunk;
+    const size_t count = std::min(chunk, windows.size() - begin);
+    filter.MarkBatchWith(stream, windows.subspan(begin, count),
+                         (*contexts)[worker].get(),
+                         window_marks.data() + begin);
+  });
 
   // Deterministic merge in window order: the concatenated mark sequence
-  // is identical to what the sequential loop produced, regardless of
-  // which worker finished first. Deduplicated marked events are counted
-  // here, over stream positions, so that blanks the extractor later
-  // drops still count as relayed (the paper's Ψ measures filtration,
-  // not extraction).
+  // is the same whichever worker finished first. Deduplicated marked
+  // events are counted here, over stream positions, so that blanks the
+  // extractor later drops still count as relayed (the paper's Ψ
+  // measures filtration, not extraction).
   obs::TraceSpan merge_span(obs::StageWindowMerge());
-  std::vector<const Event*> marked;
+  Filtration filtration;
   std::vector<uint8_t> seen(stream.size(), 0);
   for (size_t i = 0; i < windows.size(); ++i) {
     const std::vector<int>& marks = window_marks[i];
@@ -103,31 +83,45 @@ PipelineResult DlacepPipeline::Evaluate(const EventStream& stream) {
     for (size_t t = 0; t < marks.size(); ++t) {
       if (marks[t] == 0) continue;
       const size_t pos = windows[i].begin + t;
-      result.marked_ids.push_back(stream[pos].id);
+      filtration.marked_ids.push_back(stream[pos].id);
       if (!seen[pos]) {
         seen[pos] = 1;
-        ++result.marked_events;
         // First covering window only: with the default overlapping
-        // geometry (mark = 2w, step = w) each position used to be
-        // relayed once per covering window, roughly doubling the
+        // geometry (mark = 2w, step = w) each position would otherwise
+        // be relayed once per covering window, roughly doubling the
         // extractor's input. The extractor sorts by id and drops
         // duplicates before evaluating (extractor.cc), so feeding it
         // deduplicated events changes neither the match set nor the
         // engine work counters — only the wasted copies
-        // (tests/dlacep_pipeline_test.cc pins this). marked_ids stays
-        // duplicate-inclusive by contract.
-        marked.push_back(&stream[pos]);
+        // (tests/dlacep_pipeline_test.cc pins this).
+        filtration.relayed.push_back(&stream[pos]);
       }
     }
   }
-  merge_span.Finish();
+  filtration.marked_events = filtration.relayed.size();
+  return filtration;
+}
+
+PipelineResult DlacepPipeline::Evaluate(const EventStream& stream) {
+  PipelineResult result;
+  result.total_events = stream.size();
+
+  // filter_seconds stays wall clock: it brackets the whole fan-out and
+  // the merge.
+  Stopwatch filter_watch;
+  const std::vector<WindowRange> windows = assembler_.Windows(stream.size());
+  Filtration filtration = RunFiltration(*filter_, stream, windows,
+                                        config_.batch_size, FiltrationPool(),
+                                        &contexts_);
+  result.marked_events = filtration.marked_events;
+  result.marked_ids = std::move(filtration.marked_ids);
   result.filter_seconds = filter_watch.ElapsedSeconds();
 
   // Extraction on the filtered stream.
   extractor_.ResetStats();
   Stopwatch cep_watch;
-  const Status status = extractor_.Extract(std::move(marked),
-                                           &result.matches);
+  const Status status =
+      extractor_.Extract(std::move(filtration.relayed), &result.matches);
   DLACEP_CHECK_MSG(status.ok(), status.ToString());
   result.cep_seconds = cep_watch.ElapsedSeconds();
   obs::StageCepEval()->Observe(result.cep_seconds);

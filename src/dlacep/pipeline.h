@@ -13,6 +13,7 @@
 #define DLACEP_DLACEP_PIPELINE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,32 @@ struct ComparisonResult {
                       ecep_seconds);
   }
 };
+
+/// Outcome of the filtration stage over one stream.
+struct Filtration {
+  /// Relayed events for the extractor, deduplicated (first covering
+  /// window only), in window order.
+  std::vector<const Event*> relayed;
+  /// relayed.size(): every relayed event counts, blanks included, so a
+  /// filtering ratio built on it measures filtration, not extraction.
+  size_t marked_events = 0;
+  /// Ids of marked events in window order, duplicates from overlapping
+  /// windows included (PipelineResult::marked_ids).
+  std::vector<EventId> marked_ids;
+};
+
+/// The filtration stage shared by DlacepPipeline and
+/// MultiPatternDlacep: marks `windows` of `stream` in fixed chunks of
+/// `batch_size` consecutive windows (tail chunk smaller), one
+/// MarkBatchWith call per chunk, fanned out over `pool` (null = inline)
+/// with one scratch arena per worker from `contexts` (grown as needed).
+/// Chunk boundaries depend only on batch_size and the merge runs in
+/// window order, so the result is byte-identical at any worker count.
+Filtration RunFiltration(
+    const StreamFilter& filter, const EventStream& stream,
+    std::span<const WindowRange> windows, size_t batch_size,
+    ThreadPool* pool,
+    std::vector<std::unique_ptr<InferenceContext>>* contexts);
 
 /// The assembled system: filter + extractor + assembler.
 class DlacepPipeline {

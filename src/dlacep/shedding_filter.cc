@@ -22,24 +22,12 @@ std::vector<int> RandomSheddingFilter::MarkCount(size_t count,
   return marks;
 }
 
-std::vector<int> RandomSheddingFilter::Mark(const EventStream&,
-                                            WindowRange range) const {
-  return MarkCount(range.size(), range.begin);
-}
-
-std::vector<int> RandomSheddingFilter::MarkOnline(
-    const EventStream& window, size_t stream_begin, InferenceContext*,
-    double) const {
-  // The salt keys on the window's head arrival id, not on the position
-  // the caller's assembler happens to pass: arrival ids are assigned at
-  // ingest and travel with the detached window, so shed decisions are a
-  // pure function of window content — identical across shard counts,
-  // dispatch orders, and thread counts. With a lossless producer the
-  // head id equals the window's global stream position, so this stays
-  // byte-identical to the batch path's Mark(stream, {stream_begin, ...}).
-  return MarkCount(window.size(), window.size() > 0
-                                      ? static_cast<size_t>(window[0].id)
-                                      : stream_begin);
+void RandomSheddingFilter::MarkWindows(std::span<const WindowView> windows,
+                                       InferenceContext*,
+                                       std::vector<int>* marks) const {
+  for (size_t w = 0; w < windows.size(); ++w) {
+    marks[w] = MarkCount(windows[w].events.size(), windows[w].position);
+  }
 }
 
 TypeSheddingFilter::TypeSheddingFilter(const Pattern& pattern) {
@@ -51,16 +39,19 @@ TypeSheddingFilter::TypeSheddingFilter(const Pattern& pattern) {
   }
 }
 
-std::vector<int> TypeSheddingFilter::Mark(const EventStream& stream,
-                                          WindowRange range) const {
-  std::vector<int> marks(range.size(), 0);
-  for (size_t t = 0; t < range.size(); ++t) {
-    const Event& e = stream[range.begin + t];
-    if (!e.is_blank() && relevant_[static_cast<size_t>(e.type)]) {
-      marks[t] = 1;
+void TypeSheddingFilter::MarkWindows(std::span<const WindowView> windows,
+                                     InferenceContext*,
+                                     std::vector<int>* marks) const {
+  for (size_t w = 0; w < windows.size(); ++w) {
+    const std::span<const Event> events = windows[w].events;
+    marks[w].assign(events.size(), 0);
+    for (size_t t = 0; t < events.size(); ++t) {
+      const Event& e = events[t];
+      if (!e.is_blank() && relevant_[static_cast<size_t>(e.type)]) {
+        marks[w][t] = 1;
+      }
     }
   }
-  return marks;
 }
 
 }  // namespace dlacep

@@ -21,32 +21,28 @@ namespace dlacep {
 
 /// Uniform random shedding: every event is relayed with probability
 /// `keep_probability`, regardless of content. The marks of a window are
-/// a pure function of (seed, range.begin), so Mark() is re-entrant and
-/// its output does not depend on window evaluation order — required by
-/// the parallel filtration stage and handy for reproducibility.
+/// a pure function of (seed, window position key), so marking is
+/// re-entrant and its output does not depend on window evaluation order
+/// — required by the parallel filtration stage and handy for
+/// reproducibility.
 class RandomSheddingFilter : public StreamFilter {
  public:
   RandomSheddingFilter(double keep_probability, uint64_t seed);
 
   std::string name() const override { return "random-shedding"; }
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override;
+  /// Salts each window by WindowView::position: range.begin on the batch
+  /// entry points, the head arrival id (a shard-stable key carried by
+  /// the detached window itself) on the online ones — never by the
+  /// stream_begin an online caller passes, so shed decisions cannot
+  /// depend on dispatch order or shard count. The two salts agree
+  /// whenever ids equal stream positions (every lossless run).
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override;
 
   /// The pure marking core: marks for a window of `count` events whose
-  /// global start position is `stream_begin`. Mark() delegates here
-  /// with (range.size(), range.begin); the online runtime calls it
-  /// directly so detached window copies keep their global salt.
+  /// position key is `stream_begin`.
   std::vector<int> MarkCount(size_t count, size_t stream_begin) const;
-
-  /// Salts by the window's head arrival id (a shard-stable key carried
-  /// by the detached window itself), NOT by the stream_begin the caller
-  /// passes — so shed decisions cannot depend on dispatch order or
-  /// shard count. Equal to the batch Mark() whenever ids equal stream
-  /// positions (every lossless run).
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext* ctx,
-                              double threshold_boost) const override;
 
  private:
   double keep_probability_;
@@ -64,8 +60,8 @@ class TypeSheddingFilter : public StreamFilter {
 
   std::string name() const override { return "type-shedding"; }
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override;
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override;
 
  private:
   std::vector<bool> relevant_;  ///< indexed by type id

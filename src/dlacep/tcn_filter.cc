@@ -1,8 +1,6 @@
 #include "dlacep/tcn_filter.h"
 
-#include <algorithm>
-#include <cmath>
-
+#include "dlacep/slab.h"
 #include "obs/stages.h"
 #include "obs/trace.h"
 
@@ -51,83 +49,35 @@ std::vector<Parameter*> TcnEventFilter::Params() {
   return params;
 }
 
-std::vector<int> TcnEventFilter::Threshold(const Matrix& marginals) const {
-  std::vector<int> marks(marginals.rows());
-  for (size_t t = 0; t < marginals.rows(); ++t) {
-    const double score = marginals(t, 1);
-    if (!std::isfinite(score)) {
-      // Same contract as the BiLSTM event filter: a blown-up pass is
-      // reported as a whole-window sentinel, never thresholded to 0.
-      return std::vector<int>(marginals.rows(), kInvalidMark);
-    }
-    marks[t] = score >= event_threshold_ ? 1 : 0;
+void TcnEventFilter::MarkSlab(std::span<const Matrix> features,
+                              const Matrix& thresholds, InferenceContext* ctx,
+                              std::vector<int>* marks) const {
+  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
+  ctx->Reset();
+  std::vector<size_t> offsets;
+  const Matrix& x_all = StackSlab(features, ctx, &offsets);
+  DecodeCrfSlab(frozen_.backbone.ForwardBatch(ctx, x_all, offsets), offsets,
+                frozen_.head_fwd, frozen_.head_bwd, crf_, thresholds, ctx,
+                marks);
+}
+
+void TcnEventFilter::MarkWindows(std::span<const WindowView> windows,
+                                 InferenceContext* ctx,
+                                 std::vector<int>* marks) const {
+  const std::vector<Matrix> features = EncodeWindows(*featurizer_, windows);
+  MarkSlab(features, WindowThresholds(windows, {&event_threshold_, 1}), ctx,
+           marks);
+}
+
+std::vector<int> TcnEventFilter::MarkFeatures(const Matrix& features,
+                                                InferenceContext* ctx) const {
+  if (ctx == nullptr) {
+    InferenceContext local;
+    return MarkFeatures(features, &local);
   }
+  std::vector<int> marks;
+  MarkSlab({&features, 1}, Matrix(1, 1, event_threshold_), ctx, &marks);
   return marks;
-}
-
-std::vector<int> TcnEventFilter::MarkFeaturesWith(
-    const Matrix& features, InferenceContext* ctx) const {
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-  const Matrix& h = frozen_.backbone.Forward(c, features);
-  Matrix& emissions_f = c->Acquire(features.rows(), 2);
-  Matrix& emissions_b = c->Acquire(features.rows(), 2);
-  frozen_.head_fwd.Forward(h, &emissions_f);
-  frozen_.head_bwd.Forward(h, &emissions_b);
-  return Threshold(crf_.Marginals(emissions_f, emissions_b));
-}
-
-std::vector<int> TcnEventFilter::MarkFeatures(
-    const Matrix& features) const {
-  return MarkFeaturesWith(features, nullptr);
-}
-
-void TcnEventFilter::MarkBatchWith(const EventStream& stream,
-                                   std::span<const WindowRange> windows,
-                                   InferenceContext* ctx,
-                                   std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  std::vector<Matrix> features;
-  features.reserve(windows.size());
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const WindowRange& range : windows) {
-      features.push_back(
-          featurizer_->Encode(stream.View(range.begin, range.size())));
-    }
-  }
-  const size_t batch = windows.size();
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-
-  std::vector<size_t> offsets(batch + 1, 0);
-  for (size_t w = 0; w < batch; ++w) {
-    offsets[w + 1] = offsets[w] + features[w].rows();
-  }
-  Matrix& x_all = c->Acquire(offsets[batch], features[0].cols());
-  for (size_t w = 0; w < batch; ++w) {
-    std::copy_n(features[w].data(), features[w].rows() * features[w].cols(),
-                x_all.data() + offsets[w] * x_all.cols());
-  }
-
-  const Matrix& h = frozen_.backbone.ForwardBatch(c, x_all, offsets);
-  Matrix& emissions_f = c->Acquire(offsets[batch], 2);
-  Matrix& emissions_b = c->Acquire(offsets[batch], 2);
-  frozen_.head_fwd.ForwardBatch(h, &emissions_f);
-  frozen_.head_bwd.ForwardBatch(h, &emissions_b);
-
-  for (size_t w = 0; w < batch; ++w) {
-    const size_t t_len = offsets[w + 1] - offsets[w];
-    Matrix& ef = c->Acquire(t_len, 2);
-    Matrix& eb = c->Acquire(t_len, 2);
-    std::copy_n(emissions_f.data() + offsets[w] * 2, t_len * 2, ef.data());
-    std::copy_n(emissions_b.data() + offsets[w] * 2, t_len * 2, eb.data());
-    marks[w] = Threshold(crf_.Marginals(ef, eb));
-  }
 }
 
 std::vector<int> TcnEventFilter::MarkFeaturesTape(
@@ -135,22 +85,9 @@ std::vector<int> TcnEventFilter::MarkFeaturesTape(
   obs::TraceSpan forward_span(obs::StageNnForwardTape());
   Tape tape;
   auto [emissions_f, emissions_b] = Emissions(&tape, features);
-  return Threshold(crf_.Marginals(emissions_f.value(), emissions_b.value()));
-}
-
-std::vector<int> TcnEventFilter::Mark(const EventStream& stream,
-                                      WindowRange range) const {
-  return MarkWith(stream, range, nullptr);
-}
-
-std::vector<int> TcnEventFilter::MarkWith(const EventStream& stream,
-                                          WindowRange range,
-                                          InferenceContext* ctx) const {
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  Matrix features =
-      featurizer_->Encode(stream.View(range.begin, range.size()));
-  feature_span.Finish();
-  return MarkFeaturesWith(features, ctx);
+  return ThresholdMarginals(
+      crf_.Marginals(emissions_f.value(), emissions_b.value()),
+      event_threshold_);
 }
 
 TrainResult TcnEventFilter::Fit(const std::vector<Sample>& samples,
@@ -163,8 +100,9 @@ TrainResult TcnEventFilter::Fit(const std::vector<Sample>& samples,
 BinaryMetrics TcnEventFilter::Score(
     const std::vector<Sample>& samples) const {
   BinaryMetrics metrics;
+  InferenceContext ctx;
   for (const Sample& sample : samples) {
-    metrics.Accumulate(MarkFeatures(sample.features), sample.labels);
+    metrics.Accumulate(MarkFeatures(sample.features, &ctx), sample.labels);
   }
   return metrics;
 }

@@ -24,23 +24,14 @@ class TcnEventFilter : public TrainableFilter, public SequenceModel {
 
   std::string name() const override { return "tcn-event-network"; }
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override;
-  std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
-                            InferenceContext* ctx) const override;
-  /// Batched marking: the TCN trunk runs once over the stacked feature
-  /// slab (loop-level fusion — see TcnInfer::ForwardBatch), the heads
-  /// run as one slab-wide GEMM, and the CRF decodes per window. No
-  /// MarkBatchOnline override: this filter keeps the base class's
-  /// MarkOnline loop, matching its per-window MarkOnline (no threshold
-  /// boost support either way).
-  void MarkBatchWith(const EventStream& stream,
-                     std::span<const WindowRange> windows,
-                     InferenceContext* ctx,
-                     std::vector<int>* marks) const override;
-  std::vector<int> MarkFeatures(const Matrix& features) const override;
-  std::vector<int> MarkFeaturesWith(const Matrix& features,
-                                    InferenceContext* ctx) const override;
+  /// Same marking core as the BiLSTM event filter: featurize, one TCN
+  /// trunk pass over the stacked slab (loop-level fusion — see
+  /// TcnInfer::ForwardBatch), then the shared BI-CRF decode with each
+  /// window's overload boost added to the threshold.
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override;
+  std::vector<int> MarkFeatures(const Matrix& features,
+                                InferenceContext* ctx) const override;
   std::vector<int> MarkFeaturesTape(const Matrix& features) const override;
   void OnParamsChanged() override;
 
@@ -55,7 +46,9 @@ class TcnEventFilter : public TrainableFilter, public SequenceModel {
 
  private:
   std::pair<Var, Var> Emissions(Tape* tape, const Matrix& features) const;
-  std::vector<int> Threshold(const Matrix& marginals) const;
+  /// Slab core; see EventNetworkFilter::MarkSlab.
+  void MarkSlab(std::span<const Matrix> features, const Matrix& thresholds,
+                InferenceContext* ctx, std::vector<int>* marks) const;
   void Refreeze();
 
   const Featurizer* featurizer_;  ///< not owned

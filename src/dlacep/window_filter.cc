@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dlacep/slab.h"
 #include "nn/ops.h"
 #include "obs/stages.h"
 #include "obs/trace.h"
@@ -49,29 +50,39 @@ std::vector<Parameter*> WindowNetworkFilter::Params() {
   return params;
 }
 
-double WindowNetworkFilter::ProbabilityWith(const Matrix& features,
-                                            InferenceContext* ctx) const {
+std::vector<double> WindowNetworkFilter::Probabilities(
+    std::span<const Matrix> features, InferenceContext* ctx) const {
+  const size_t batch = features.size();
   obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-  const Matrix& h = frozen_.stack.Forward(c, features);
-  // Column-wise max pooling over the hidden sequence, then the 1-unit
-  // head: logit = pooled·W + b.
-  Matrix& pooled = c->Acquire(1, h.cols());
-  for (size_t j = 0; j < h.cols(); ++j) {
-    double best = h(0, j);
-    for (size_t i = 1; i < h.rows(); ++i) best = std::max(best, h(i, j));
-    pooled(0, j) = best;
+  ctx->Reset();
+  std::vector<size_t> offsets;
+  const Matrix& x_all = StackSlab(features, ctx, &offsets);
+  const Matrix& h = frozen_.stack.ForwardBatch(ctx, x_all, offsets);
+  // Column-wise max pooling over each window's hidden sequence, then the
+  // 1-unit head: logit = pooled·W + b.
+  Matrix& pooled = ctx->Acquire(batch, h.cols());
+  for (size_t w = 0; w < batch; ++w) {
+    for (size_t j = 0; j < h.cols(); ++j) {
+      double best = h(offsets[w], j);
+      for (size_t i = offsets[w] + 1; i < offsets[w + 1]; ++i) {
+        best = std::max(best, h(i, j));
+      }
+      pooled(w, j) = best;
+    }
   }
-  Matrix& logit = c->Acquire(1, 1);
-  frozen_.head.Forward(pooled, &logit);
-  return 1.0 / (1.0 + std::exp(-logit(0, 0)));
+  Matrix& logits = ctx->Acquire(batch, 1);
+  frozen_.head.Forward(pooled, &logits);
+  std::vector<double> probabilities(batch);
+  for (size_t w = 0; w < batch; ++w) {
+    probabilities[w] = 1.0 / (1.0 + std::exp(-logits(w, 0)));
+  }
+  return probabilities;
 }
 
 double WindowNetworkFilter::WindowProbability(
     const Matrix& features) const {
-  return ProbabilityWith(features, nullptr);
+  InferenceContext ctx;
+  return Probabilities({&features, 1}, &ctx)[0];
 }
 
 double WindowNetworkFilter::WindowProbabilityTape(
@@ -97,128 +108,32 @@ std::vector<int> MarksForProbability(bool applicable, double probability,
 
 }  // namespace
 
-void WindowNetworkFilter::MarkFeaturesBatchAt(
-    std::span<const Matrix> features, InferenceContext* ctx,
-    std::span<const double> boosts, std::vector<int>* marks) const {
-  const size_t batch = features.size();
-  if (batch == 0) return;
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-
-  std::vector<size_t> offsets(batch + 1, 0);
-  for (size_t w = 0; w < batch; ++w) {
-    offsets[w + 1] = offsets[w] + features[w].rows();
+void WindowNetworkFilter::MarkWindows(std::span<const WindowView> windows,
+                                      InferenceContext* ctx,
+                                      std::vector<int>* marks) const {
+  const std::vector<Matrix> features = EncodeWindows(*featurizer_, windows);
+  const std::vector<double> p = Probabilities(features, ctx);
+  for (size_t w = 0; w < windows.size(); ++w) {
+    marks[w] = MarksForProbability(
+        IsApplicable(p[w], windows[w].threshold_boost), p[w],
+        windows[w].events.size());
   }
-  Matrix& x_all = c->Acquire(offsets[batch], features[0].cols());
-  for (size_t w = 0; w < batch; ++w) {
-    std::copy_n(features[w].data(), features[w].rows() * features[w].cols(),
-                x_all.data() + offsets[w] * x_all.cols());
-  }
-
-  const Matrix& h = frozen_.stack.ForwardBatch(c, x_all, offsets);
-  // Per-window column max pooling into one B×2H matrix, so the 1-unit
-  // head runs as a single B-row GEMM (row-local → bit-identical logits).
-  Matrix& pooled = c->Acquire(batch, h.cols());
-  for (size_t w = 0; w < batch; ++w) {
-    for (size_t j = 0; j < h.cols(); ++j) {
-      double best = h(offsets[w], j);
-      for (size_t i = offsets[w] + 1; i < offsets[w + 1]; ++i) {
-        best = std::max(best, h(i, j));
-      }
-      pooled(w, j) = best;
-    }
-  }
-  Matrix& logits = c->Acquire(batch, 1);
-  frozen_.head.ForwardBatch(pooled, &logits);
-  for (size_t w = 0; w < batch; ++w) {
-    const double p = 1.0 / (1.0 + std::exp(-logits(w, 0)));
-    marks[w] = MarksForProbability(IsApplicable(p, boosts[w]), p,
-                                   features[w].rows());
-  }
-}
-
-void WindowNetworkFilter::MarkBatchWith(const EventStream& stream,
-                                        std::span<const WindowRange> windows,
-                                        InferenceContext* ctx,
-                                        std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  std::vector<Matrix> features;
-  features.reserve(windows.size());
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const WindowRange& range : windows) {
-      features.push_back(
-          featurizer_->Encode(stream.View(range.begin, range.size())));
-    }
-  }
-  const std::vector<double> boosts(windows.size(), 0.0);
-  MarkFeaturesBatchAt(features, ctx, boosts, marks);
-}
-
-void WindowNetworkFilter::MarkBatchOnline(
-    std::span<const OnlineWindow> windows, InferenceContext* ctx,
-    std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  std::vector<Matrix> features;
-  std::vector<double> boosts;
-  features.reserve(windows.size());
-  boosts.reserve(windows.size());
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const OnlineWindow& w : windows) {
-      features.push_back(
-          featurizer_->Encode(w.events->View(0, w.events->size())));
-      boosts.push_back(w.threshold_boost);
-    }
-  }
-  MarkFeaturesBatchAt(features, ctx, boosts, marks);
-}
-
-std::vector<int> WindowNetworkFilter::MarkFeaturesWith(
-    const Matrix& features, InferenceContext* ctx) const {
-  const double p = ProbabilityWith(features, ctx);
-  return MarksForProbability(IsApplicable(p), p, features.rows());
 }
 
 std::vector<int> WindowNetworkFilter::MarkFeatures(
-    const Matrix& features) const {
-  return MarkFeaturesWith(features, nullptr);
+    const Matrix& features, InferenceContext* ctx) const {
+  if (ctx == nullptr) {
+    InferenceContext local;
+    return MarkFeatures(features, &local);
+  }
+  const double p = Probabilities({&features, 1}, ctx)[0];
+  return MarksForProbability(IsApplicable(p), p, features.rows());
 }
 
 std::vector<int> WindowNetworkFilter::MarkFeaturesTape(
     const Matrix& features) const {
   const double p = WindowProbabilityTape(features);
   return MarksForProbability(IsApplicable(p), p, features.rows());
-}
-
-std::vector<int> WindowNetworkFilter::Mark(const EventStream& stream,
-                                           WindowRange range) const {
-  return MarkWith(stream, range, nullptr);
-}
-
-std::vector<int> WindowNetworkFilter::MarkWith(const EventStream& stream,
-                                               WindowRange range,
-                                               InferenceContext* ctx) const {
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  Matrix features =
-      featurizer_->Encode(stream.View(range.begin, range.size()));
-  feature_span.Finish();
-  return MarkFeaturesWith(features, ctx);
-}
-
-std::vector<int> WindowNetworkFilter::MarkOnline(
-    const EventStream& window, size_t stream_begin, InferenceContext* ctx,
-    double threshold_boost) const {
-  (void)stream_begin;  // content-based: marks don't depend on position
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  const Matrix features =
-      featurizer_->Encode(window.View(0, window.size()));
-  feature_span.Finish();
-  const double p = ProbabilityWith(features, ctx);
-  return MarksForProbability(IsApplicable(p, threshold_boost), p,
-                             features.rows());
 }
 
 TrainResult WindowNetworkFilter::Fit(const std::vector<Sample>& samples,

@@ -24,23 +24,10 @@ class WindowNetworkFilter : public TrainableFilter, public SequenceModel {
 
   std::string name() const override { return "window-network"; }
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override;
-  std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
-                            InferenceContext* ctx) const override;
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext* ctx,
-                              double threshold_boost) const override;
-  void MarkBatchWith(const EventStream& stream,
-                     std::span<const WindowRange> windows,
-                     InferenceContext* ctx,
-                     std::vector<int>* marks) const override;
-  void MarkBatchOnline(std::span<const OnlineWindow> windows,
-                       InferenceContext* ctx,
-                       std::vector<int>* marks) const override;
-  std::vector<int> MarkFeatures(const Matrix& features) const override;
-  std::vector<int> MarkFeaturesWith(const Matrix& features,
-                                    InferenceContext* ctx) const override;
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override;
+  std::vector<int> MarkFeatures(const Matrix& features,
+                                InferenceContext* ctx) const override;
   std::vector<int> MarkFeaturesTape(const Matrix& features) const override;
   void OnParamsChanged() override;
 
@@ -69,15 +56,12 @@ class WindowNetworkFilter : public TrainableFilter, public SequenceModel {
 
  private:
   Var Logit(Tape* tape, const Matrix& features) const;
-  double ProbabilityWith(const Matrix& features, InferenceContext* ctx) const;
-  /// Batched marking core: one trunk ForwardBatch over the stacked
-  /// feature slab, per-window max pooling into a B×2H matrix, a single
-  /// B-row head GEMM, then each window's sigmoid + threshold (with its
-  /// own boost).
-  void MarkFeaturesBatchAt(std::span<const Matrix> features,
-                           InferenceContext* ctx,
-                           std::span<const double> boosts,
-                           std::vector<int>* marks) const;
+  /// The slab core: one trunk ForwardBatch over the stacked features,
+  /// per-window max pooling into a B×2H matrix, a single B-row head
+  /// GEMM (row-local, so logits do not depend on the grouping), then
+  /// each window's sigmoid.
+  std::vector<double> Probabilities(std::span<const Matrix> features,
+                                    InferenceContext* ctx) const;
   void Refreeze();
 
   const Featurizer* featurizer_;  ///< not owned

@@ -304,65 +304,6 @@ void DenseInfer::Forward(const Matrix& x, Matrix* out) const {
   }
 }
 
-void LstmInfer::ForwardInto(InferenceContext* ctx, const Matrix& x,
-                            bool reverse, Matrix* out, size_t col) const {
-  const size_t t_steps = x.rows();
-  DLACEP_CHECK_GT(t_steps, 0u);
-  DLACEP_CHECK_EQ(x.cols(), in_dim);
-  DLACEP_CHECK_EQ(out->rows(), t_steps);
-  DLACEP_CHECK_LE(col + hidden, out->cols());
-  const size_t h = hidden;
-
-  // Input projection for the whole sequence in one blocked GEMM — the
-  // recurrence only depends on it row by row, so there is no reason to
-  // pay matrix-vector arithmetic intensity T times.
-  Matrix& xproj = ctx->Acquire(t_steps, 4 * h);
-  {
-    obs::TraceSpan gemm_span(obs::StageNnGemm());
-    MatMulInto(x, wx, &xproj, /*accumulate=*/false);
-  }
-
-  Matrix& gates = ctx->Acquire(1, 4 * h);
-  Matrix& h_state = ctx->Acquire(1, h);
-  Matrix& c_state = ctx->Acquire(1, h);
-  h_state.Fill(0.0);
-  c_state.Fill(0.0);
-
-  double* g = gates.data();
-  double* hs = h_state.data();
-  double* cs = c_state.data();
-  const double* bias = b.data();
-  const size_t out_stride = out->cols();
-  const CellUpdateFn cell_update = PickCellUpdate();
-#ifdef DLACEP_VECTOR_CELL
-  const RecurrentFn recurrent_update = PickRecurrentUpdate();
-#endif
-
-  // One span over the whole recurrence, not per step: the per-step cell
-  // work is far below clock resolution and a clock read per step would
-  // dominate it.
-  obs::TraceSpan cell_span(obs::StageNnCell());
-  for (size_t step = 0; step < t_steps; ++step) {
-    const size_t t = reverse ? t_steps - 1 - step : step;
-    // One fused pass fills all four gates: g = x_t·Wx (precomputed) +
-    // h·Wh + b. The recurrent term is a 1×H · H×4H product accumulated
-    // in place — an axpy over Wh rows, vectorized across the 4H gate
-    // lanes, with a register-resident destination where the CPU allows.
-    const double* xrow = xproj.data() + t * 4 * h;
-    for (size_t gi = 0; gi < 4 * h; ++gi) g[gi] = xrow[gi] + bias[gi];
-#ifdef DLACEP_VECTOR_CELL
-    if (recurrent_update != nullptr) {
-      recurrent_update(hs, wh.data(), g, h, 4 * h);
-    } else {
-      MatMulInto(h_state, wh, &gates, /*accumulate=*/true);
-    }
-#else
-    MatMulInto(h_state, wh, &gates, /*accumulate=*/true);
-#endif
-    cell_update(g, h, cs, hs, out->data() + t * out_stride + col);
-  }
-}
-
 void LstmInfer::ForwardBatchInto(InferenceContext* ctx, const Matrix& x_all,
                                  std::span<const size_t> offsets, bool reverse,
                                  Matrix* out_all, size_t col) const {
@@ -378,22 +319,29 @@ void LstmInfer::ForwardBatchInto(InferenceContext* ctx, const Matrix& x_all,
 
   // One input projection for every window in the batch: ΣT rows through
   // the register-tiled GEMM instead of B matrix-vector-shaped calls.
+  // Single-window passes keep their own stage so solo marking stays
+  // visible next to batched marking.
   Matrix& xproj = ctx->Acquire(total, 4 * h);
   {
-    obs::TraceSpan gemm_span(obs::StageNnGemmBatched());
+    obs::TraceSpan gemm_span(batch == 1 ? obs::StageNnGemm()
+                                        : obs::StageNnGemmBatched());
     MatMulInto(x_all, wx, &xproj, /*accumulate=*/false);
   }
 
 #ifdef DLACEP_VECTOR_CELL
   // With the specialized recurrent kernel available, the lockstep GEMM
-  // below loses: its register-resident 1×4H destination beats a
-  // B×H · H×4H MatMulInto at these hidden sizes, and lockstep pays
+  // below loses: the kernel's register-resident 1×4H destination beats
+  // a B×H · H×4H MatMulInto at these hidden sizes, and lockstep pays
   // dead-row zero fills plus strided xproj walks on top. Run the batch
-  // window-major instead — the exact per-step recurrence arithmetic of
-  // ForwardInto, still fed by the one hoisted ΣT×in projection GEMM
-  // above, with weights and scratch hot across all B windows. (Only
-  // the projection rows can differ from per-window, by GEMM tile-edge
-  // rounding — within the tested 1e-9 envelope.)
+  // window-major instead: per step, one fused pass fills the reused
+  // 1×4H gate row (bias + precomputed projection + h·Wh, an axpy over
+  // Wh rows vectorized across the gate lanes) and the cell update
+  // follows, fed by the one hoisted ΣT×in projection GEMM above, with
+  // weights and scratch hot across all B windows. Windows are
+  // independent here; only the projection rows can differ between
+  // batch groupings, by GEMM tile-edge rounding — within the tested
+  // 1e-9 envelope. One span covers the whole recurrence, not each
+  // step: the per-step cell work is far below clock resolution.
   if (const RecurrentFn recurrent_fn = PickRecurrentUpdate()) {
     const double* bias_row = b.data();
     const size_t out_cols = out_all->cols();
@@ -473,37 +421,12 @@ void LstmInfer::ForwardBatchInto(InferenceContext* ctx, const Matrix& x_all,
   }
 }
 
-void BiLstmInfer::Forward(InferenceContext* ctx, const Matrix& x,
-                          Matrix* out) const {
-  fwd.ForwardInto(ctx, x, /*reverse=*/false, out, 0);
-  bwd.ForwardInto(ctx, x, /*reverse=*/true, out, fwd.hidden);
-}
-
 void BiLstmInfer::ForwardBatch(InferenceContext* ctx, const Matrix& x_all,
                                std::span<const size_t> offsets,
                                Matrix* out_all) const {
   fwd.ForwardBatchInto(ctx, x_all, offsets, /*reverse=*/false, out_all, 0);
   bwd.ForwardBatchInto(ctx, x_all, offsets, /*reverse=*/true, out_all,
                        fwd.hidden);
-}
-
-const Matrix& StackedBiLstmInfer::Forward(InferenceContext* ctx,
-                                          const Matrix& x) const {
-  DLACEP_CHECK(!layers.empty());
-  const Matrix* cur = &x;
-  Matrix* last = nullptr;
-  for (const BiLstmInfer& layer : layers) {
-    Matrix& out = ctx->Acquire(cur->rows(), 2 * layer.fwd.hidden);
-    layer.Forward(ctx, *cur, &out);
-    cur = &out;
-    last = &out;
-  }
-  if (ctx->poisoned()) {
-    // Fault injection: a poisoned pass leaves with a blown-up trunk
-    // activation, which the heads/CRF propagate to non-finite scores.
-    last->Fill(std::numeric_limits<double>::quiet_NaN());
-  }
-  return *last;
 }
 
 const Matrix& StackedBiLstmInfer::ForwardBatch(
@@ -527,50 +450,6 @@ const Matrix& StackedBiLstmInfer::ForwardBatch(
   return *last;
 }
 
-const Matrix& TcnInfer::Forward(InferenceContext* ctx,
-                                const Matrix& x) const {
-  DLACEP_CHECK(!layers.empty());
-  const ptrdiff_t center = static_cast<ptrdiff_t>(kernel / 2);
-  const size_t t_steps = x.rows();
-  const Matrix* cur = &x;
-  Matrix* last = nullptr;
-  size_t dilation = 1;
-  for (const Layer& layer : layers) {
-    const size_t d_in = cur->cols();
-    const size_t d_out = layer.b.cols();
-    DLACEP_CHECK_EQ(layer.wt.cols(), kernel * d_in);
-    Matrix& out = ctx->Acquire(t_steps, d_out);
-    const double* bias = layer.b.data();
-    for (size_t t = 0; t < t_steps; ++t) {
-      double* orow = out.data() + t * d_out;
-      for (size_t o = 0; o < d_out; ++o) orow[o] = bias[o];
-      for (size_t k = 0; k < kernel; ++k) {
-        const ptrdiff_t src =
-            static_cast<ptrdiff_t>(t) +
-            (static_cast<ptrdiff_t>(k) - center) *
-                static_cast<ptrdiff_t>(dilation);
-        if (src < 0 || src >= static_cast<ptrdiff_t>(t_steps)) continue;
-        const double* xrow =
-            cur->data() + static_cast<size_t>(src) * d_in;
-        for (size_t o = 0; o < d_out; ++o) {
-          const double* w = layer.wt.data() + o * (kernel * d_in) + k * d_in;
-          double sum = 0.0;
-          for (size_t i = 0; i < d_in; ++i) sum += xrow[i] * w[i];
-          orow[o] += sum;
-        }
-      }
-      for (size_t o = 0; o < d_out; ++o) orow[o] = std::max(0.0, orow[o]);
-    }
-    cur = &out;
-    last = &out;
-    dilation *= 2;
-  }
-  if (ctx->poisoned()) {
-    last->Fill(std::numeric_limits<double>::quiet_NaN());
-  }
-  return *last;
-}
-
 const Matrix& TcnInfer::ForwardBatch(InferenceContext* ctx,
                                      const Matrix& x_all,
                                      std::span<const size_t> offsets) const {
@@ -583,8 +462,8 @@ const Matrix& TcnInfer::ForwardBatch(InferenceContext* ctx,
   // Loop-level fusion: the convolution is position-local, so the batch
   // win is keeping each layer's weights cache-warm across all B windows
   // in one pass. Boundary clamps stay window-local — row (offsets[w]+t)
-  // below runs exactly the per-window Forward arithmetic for step t of
-  // window w, so the stacked result matches it bit for bit.
+  // below depends only on window w's rows, so the stacked result equals
+  // B single-window passes bit for bit.
   const ptrdiff_t center = static_cast<ptrdiff_t>(kernel / 2);
   const Matrix* cur = &x_all;
   Matrix* last = nullptr;

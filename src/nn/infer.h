@@ -25,21 +25,21 @@
 //    context per thread: contexts are not synchronized, the frozen
 //    weights they read are shared and immutable.
 //
-//  * `ForwardBatch` entry points run B windows per call on one stacked
-//    batch-major feature slab: the rows of window b occupy
-//    [offsets[b], offsets[b+1]) of an ΣT×D input, `offsets` being the
-//    B+1 exclusive prefix sums of the window lengths (offsets[0] = 0).
-//    Batching converts the per-window matrix-vector work — the LSTM
-//    recurrence above all — into matrix-matrix calls on the same
-//    register-tiled kernels (one B×H·H×4H GEMM per time step instead
-//    of B separate 1×H·H×4H products), and amortizes the hoisted input
-//    projection into a single ΣT-row GEMM. Dense and TCN forwards are
-//    row-local, so their batched results are the per-window results
-//    bit for bit; the LSTM's stacked GEMMs may reassociate additions
-//    across row-block boundaries, so batched activations match the
-//    per-window path to <= 1e-9, not bitwise — thresholded marks stay
-//    byte-identical (the same contract the tape/fast split already
-//    relies on).
+//  * Every trunk cell has exactly one forward, `ForwardBatch`, which
+//    runs B windows per call on one stacked batch-major feature slab:
+//    the rows of window b occupy [offsets[b], offsets[b+1]) of an ΣT×D
+//    input, `offsets` being the B+1 exclusive prefix sums of the window
+//    lengths (offsets[0] = 0). A single window is the B = 1 case of the
+//    same code: same input-projection GEMM, same fused cell loop.
+//    Batching converts per-window matrix-vector work into matrix-matrix
+//    calls on the same register-tiled kernels and amortizes the hoisted
+//    input projection into a single ΣT-row GEMM. Dense and TCN forwards
+//    are row-local, so their results do not depend on how windows are
+//    grouped, bit for bit; the LSTM's projection GEMM may reassociate
+//    additions across row-block boundaries, so activations of one
+//    window batched with others match its B = 1 pass to <= 1e-9, not
+//    bitwise — thresholded marks stay byte-identical (the same contract
+//    the tape/fast split already relies on).
 //
 // The tape forward remains the golden reference: both paths must agree
 // to <= 1e-9 elementwise (tests/infer_equivalence_test.cc).
@@ -82,7 +82,7 @@ class InferenceContext {
   size_t num_buffers() const { return pool_.size(); }
 
   /// True when the current forward pass was poisoned by the fault hook.
-  /// The trunk Forward implementations consult this and NaN-fill their
+  /// The trunk ForwardBatch implementations consult this and NaN-fill their
   /// output activation, simulating a numeric blow-up.
   bool poisoned() const { return poison_; }
 
@@ -109,45 +109,37 @@ void SetInferenceFaultHook(bool (*hook)(void* ctx), void* ctx);
 struct DenseInfer {
   Matrix wt;  ///< out×in
   Matrix b;   ///< 1×out
-  /// out must be pre-shaped N×out_dim; fully overwritten.
+  /// out must be pre-shaped N×out_dim; fully overwritten. Row-local
+  /// (every output row is a dot product of its own input row), so one
+  /// call over a stacked slab equals per-window calls bit for bit.
   void Forward(const Matrix& x, Matrix* out) const;
-  /// Batched forward over a stacked slab. Dense is row-local (every
-  /// output row is a dot product of its own input row), so this IS
-  /// Forward on the concatenated rows — bit-identical to B separate
-  /// per-window calls. Kept as a named entry point so call sites read
-  /// batch-shaped.
-  void ForwardBatch(const Matrix& x_all, Matrix* out_all) const {
-    Forward(x_all, out_all);
-  }
 };
 
-/// Frozen LSTM cell. The input projection for the whole sequence is
+/// Frozen LSTM cell. The input projection for the whole slab is
 /// hoisted out of the recurrence and computed as one blocked GEMM
-/// (T×in · wxtᵗ → T×4H, all four gates [i|f|g|o] side by side); the
-/// per-step work is then a single fused pass over a reused 1×4H gate
-/// row: bias + precomputed input projection + h·Wh (a 1×H·H×4H GEMM on
-/// the shared blocked kernel) followed by the elementwise cell update.
+/// (ΣT×in · wx → ΣT×4H, all four gates [i|f|g|o] side by side); the
+/// per-step work is then a single fused pass over a reused gate row:
+/// bias + precomputed input projection + h·Wh followed by the
+/// elementwise cell update.
 struct LstmInfer {
   size_t in_dim = 0;
   size_t hidden = 0;
-  Matrix wx;  ///< in×4H  (snapshot of Lstm's Wx: the hoisted T×in·in×4H
+  Matrix wx;  ///< in×4H  (snapshot of Lstm's Wx: the hoisted ΣT×in·in×4H
               ///<         projection rides the register-tiled MatMulInto)
   Matrix wh;  ///< H×4H   (snapshot of Lstm's Wh: the recurrent update is
               ///<         an axpy over rows, vectorized across gates)
   Matrix b;   ///< 1×4H
-  /// Runs the recurrence over x (T×in) and writes hidden state rows
-  /// into columns [col, col+H) of `out` (T×C, C >= col+H), rows aligned
-  /// to input order (reverse=true scans right-to-left, like the tape
-  /// path). Scratch (gates, h, c) comes from `ctx`.
-  void ForwardInto(InferenceContext* ctx, const Matrix& x, bool reverse,
-                   Matrix* out, size_t col) const;
-  /// Batched recurrence over B windows stacked in x_all (ΣT×in, window
-  /// b at rows [offsets[b], offsets[b+1]), all lengths > 0). The B
-  /// hidden/cell states advance in lockstep, so the recurrent term is
-  /// one B×H·H×4H GEMM per time step; windows shorter than the batch
-  /// maximum simply stop participating (their gate rows are zeroed so
-  /// the shared GEMM stays finite, and their cell update is skipped).
-  /// Output rows land at the same offsets in out_all (ΣT×C).
+  /// Runs the recurrence over B windows stacked in x_all (ΣT×in, window
+  /// b at rows [offsets[b], offsets[b+1]), all lengths > 0) and writes
+  /// hidden-state rows into columns [col, col+H) of `out_all` (ΣT×C,
+  /// C >= col+H), rows aligned to input order (reverse=true scans each
+  /// window right-to-left, like the tape path). Scratch comes from
+  /// `ctx`. With the vectorized recurrent kernel available the windows
+  /// run one after another on a 1×4H gate row; otherwise the B states
+  /// advance in lockstep, so the recurrent term is one B×H·H×4H GEMM
+  /// per step (windows shorter than the batch maximum stop
+  /// participating: their gate rows are zeroed so the shared GEMM stays
+  /// finite, and their cell update is skipped).
   void ForwardBatchInto(InferenceContext* ctx, const Matrix& x_all,
                         std::span<const size_t> offsets, bool reverse,
                         Matrix* out_all, size_t col) const;
@@ -158,22 +150,20 @@ struct LstmInfer {
 struct BiLstmInfer {
   LstmInfer fwd;
   LstmInfer bwd;
-  /// out must be pre-shaped T×2H; fully overwritten.
-  void Forward(InferenceContext* ctx, const Matrix& x, Matrix* out) const;
-  /// Batched twin of Forward over a stacked slab (see ForwardBatchInto).
+  /// out_all must be pre-shaped ΣT×2H; fully overwritten (see
+  /// ForwardBatchInto).
   void ForwardBatch(InferenceContext* ctx, const Matrix& x_all,
                     std::span<const size_t> offsets, Matrix* out_all) const;
 };
 
-/// Frozen stacked BiLSTM. Returns the last layer's T×2H activation,
-/// which lives in `ctx` until the next Reset().
+/// Frozen stacked BiLSTM.
 struct StackedBiLstmInfer {
   std::vector<BiLstmInfer> layers;
-  const Matrix& Forward(InferenceContext* ctx, const Matrix& x) const;
-  /// Batched forward over B windows stacked in x_all (batch-major, B+1
-  /// prefix-sum `offsets`). Returns the last layer's ΣT×2H slab; window
-  /// b's activation occupies rows [offsets[b], offsets[b+1]). Observes
-  /// the batch-size histogram (obs::NnBatchWindows).
+  /// Forward over B windows stacked in x_all (batch-major, B+1
+  /// prefix-sum `offsets`). Returns the last layer's ΣT×2H slab, which
+  /// lives in `ctx` until the next Reset(); window b's activation
+  /// occupies rows [offsets[b], offsets[b+1]). Observes the batch-size
+  /// histogram (obs::NnBatchWindows), B = 1 included.
   const Matrix& ForwardBatch(InferenceContext* ctx, const Matrix& x_all,
                              std::span<const size_t> offsets) const;
 };
@@ -188,14 +178,13 @@ struct TcnInfer {
   };
   size_t kernel = 0;
   std::vector<Layer> layers;
-  /// Returns the last layer's T×hidden activation (lives in `ctx`).
-  const Matrix& Forward(InferenceContext* ctx, const Matrix& x) const;
-  /// Batched forward over B stacked windows. Convolutions are
-  /// position-local, so batching here is loop-level fusion over the
-  /// slab with window-local boundary clamps: one pass keeps the layer
-  /// weights cache-warm across all B windows, and every output row is
-  /// the same arithmetic as the per-window Forward. Returns the last
-  /// layer's ΣT×hidden slab. Observes the batch-size histogram.
+  /// Forward over B stacked windows. Convolutions are position-local,
+  /// so batching here is loop-level fusion over the slab with
+  /// window-local boundary clamps: one pass keeps the layer weights
+  /// cache-warm across all B windows, and every output row is the same
+  /// arithmetic whatever the grouping. Returns the last layer's
+  /// ΣT×hidden slab (lives in `ctx`). Observes the batch-size
+  /// histogram, B = 1 included.
   const Matrix& ForwardBatch(InferenceContext* ctx, const Matrix& x_all,
                              std::span<const size_t> offsets) const;
 };

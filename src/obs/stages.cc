@@ -219,7 +219,7 @@ Histogram* NnBatchWindows() {
   // practice, and the geometric ladder keeps the histogram compact.
   static Histogram* h = MetricsRegistry::Global().GetHistogram(
       "dlacep_nn_batch_windows", {},
-      "Windows per batched NN trunk forward",
+      "Windows per NN trunk forward",
       HistogramOptions{/*min_value=*/1.0, /*num_buckets=*/12});
   return h;
 }

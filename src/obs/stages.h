@@ -29,10 +29,10 @@ namespace obs {
 // --- Stage latency histograms (dlacep_stage_latency_seconds) ---------
 Histogram* StageQueueWait();      ///< ingest push -> assembler pop
 Histogram* StageFeatureBuild();   ///< featurizer Encode
-Histogram* StageNnForwardInfer(); ///< frozen fast-path forward (per window)
+Histogram* StageNnForwardInfer(); ///< frozen fast-path forward (per call)
 Histogram* StageNnForwardTape();  ///< tape forward (per window)
-Histogram* StageNnGemm();         ///< hoisted LSTM input-projection GEMM
-Histogram* StageNnGemmBatched();  ///< cross-window batched projection GEMM
+Histogram* StageNnGemm();         ///< LSTM input-projection GEMM, B = 1
+Histogram* StageNnGemmBatched();  ///< same GEMM over a B > 1 window slab
 Histogram* StageNnCell();         ///< LSTM per-step recurrence loop
 Histogram* StageWindowMark();     ///< one window (or micro-batch) marked
 Histogram* StageWindowMerge();    ///< one window merged (dedup + store)
@@ -107,10 +107,11 @@ Gauge* ShardRingDepth(size_t shard);
 Histogram* ShardMarkLatency(size_t shard);
 
 // --- Batched inference -----------------------------------------------
-/// dlacep_nn_batch_windows — windows per batched trunk forward
-/// (geometric buckets from 1), observed once per ForwardBatch call.
-/// Batch size 1 means the batched entry point ran on a single window;
-/// the legacy per-window Forward never observes this histogram.
+/// dlacep_nn_batch_windows — windows per trunk forward (geometric
+/// buckets from 1), observed once per ForwardBatch call. ForwardBatch
+/// is the only trunk forward, so every inference lands here: solo
+/// marks (batch size 1, idle shards, degraded-mode probes) as
+/// B = 1, micro-batches as B.
 Histogram* NnBatchWindows();
 
 // --- Multi-query serving (src/serve) ---------------------------------

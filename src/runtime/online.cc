@@ -382,71 +382,57 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
       // Micro-batching: adjacent level-0/1 windows in the burst mark
       // through one MarkBatchOnline call (a busy shard's backlog
       // batches naturally, an idle shard marks solo with no added
-      // latency). Shed, degraded, and probe windows always mark solo:
+      // latency). Shed, degraded, and probe windows always mark alone:
       // their marking is trivial or intentionally separate, so a
       // degraded run behaves exactly like batch_size = 1.
       const RunState::WindowTask& head = burst[i];
-      const bool batchable = batch_cap > 1 &&
-                             head.level < OverloadController::kMaxLevel &&
-                             !head.probe;
+      const bool batchable = head.level < OverloadController::kMaxLevel;
       size_t j = i + 1;
       if (batchable) {
         while (j < burst.size() && j - i < batch_cap &&
-               burst[j].level < OverloadController::kMaxLevel &&
-               !burst[j].probe) {
+               burst[j].level < OverloadController::kMaxLevel) {
           ++j;
         }
       }
+      // Shed windows mark with the shedding policy's filter; a degraded
+      // window relays unfiltered, and only a probe shadow-marks it with
+      // the primary filter (at base threshold).
+      const bool degraded = head.level == OverloadController::kDegradedLevel;
+      const StreamFilter* marker = filter_;
+      if (head.level == OverloadController::kMaxLevel) {
+        marker = config_.overload.shedding == SheddingPolicy::kRandom
+                     ? static_cast<const StreamFilter*>(&random_shed_)
+                     : static_cast<const StreamFilter*>(&type_shed_);
+      }
       Stopwatch mark_watch;
       obs::TraceSpan mark_span(obs::StageWindowMark());
-      if (batchable && j - i > 1) {
-        std::vector<OnlineWindow> windows;
-        windows.reserve(j - i);
-        for (size_t k = i; k < j; ++k) {
-          const RunState::WindowTask& t = burst[k];
-          if (config_.worker_window_hook) config_.worker_window_hook(t.seq);
-          windows.push_back(OnlineWindow{
-              t.events.get(), t.begin,
-              t.level == 1 ? config_.overload.threshold_boost : 0.0});
-        }
-        std::vector<std::vector<int>> marks(j - i);
-        filter_->MarkBatchOnline(windows, ctx, marks.data());
-        for (size_t k = i; k < j; ++k) {
-          RunState::WindowTask& t = burst[k];
-          DoneWindow window;
-          window.begin = t.begin;
-          window.level = t.level;
-          window.close_seconds = t.close_seconds;
-          window.events = std::move(t.events);
-          window.marks = std::move(marks[k - i]);
-          finished.push_back(RunState::SeqDone{t.seq, std::move(window)});
-        }
-      } else {
-        RunState::WindowTask& t = burst[i];
+      std::vector<OnlineWindow> windows;
+      windows.reserve(j - i);
+      for (size_t k = i; k < j; ++k) {
+        const RunState::WindowTask& t = burst[k];
         if (config_.worker_window_hook) config_.worker_window_hook(t.seq);
+        windows.push_back(OnlineWindow{
+            t.events.get(), t.begin,
+            t.level == 1 ? config_.overload.threshold_boost : 0.0});
+      }
+      std::vector<std::vector<int>> marks(j - i);
+      if (!degraded || head.probe) {
+        marker->MarkBatchOnline(windows, ctx, marks.data());
+      }
+      for (size_t k = i; k < j; ++k) {
+        RunState::WindowTask& t = burst[k];
         DoneWindow window;
         window.begin = t.begin;
         window.level = t.level;
         window.close_seconds = t.close_seconds;
-        window.events = t.events;
         window.probe = t.probe;
-        if (t.level == OverloadController::kDegradedLevel) {
+        if (degraded) {
           window.marks.assign(t.events->size(), 1);
-          if (t.probe) {
-            window.shadow_marks =
-                filter_->MarkOnline(*t.events, t.begin, ctx, 0.0);
-          }
-        } else if (t.level >= OverloadController::kMaxLevel) {
-          const StreamFilter& shed =
-              config_.overload.shedding == SheddingPolicy::kRandom
-                  ? static_cast<const StreamFilter&>(random_shed_)
-                  : static_cast<const StreamFilter&>(type_shed_);
-          window.marks = shed.MarkOnline(*t.events, t.begin, ctx, 0.0);
+          window.shadow_marks = std::move(marks[k - i]);
         } else {
-          const double boost =
-              t.level == 1 ? config_.overload.threshold_boost : 0.0;
-          window.marks = filter_->MarkOnline(*t.events, t.begin, ctx, boost);
+          window.marks = std::move(marks[k - i]);
         }
+        window.events = std::move(t.events);
         finished.push_back(RunState::SeqDone{t.seq, std::move(window)});
       }
       mark_span.Finish();

@@ -113,12 +113,12 @@ struct OnlineConfig {
   size_t mark_size = 0;
   size_t step_size = 0;
 
-  /// Windows marked per filter call. 1 = mark each window solo
-  /// (default). >1: a shard worker marks up to batch_size adjacent
-  /// level-0/1 windows from one burst of its work ring through a single
-  /// MarkBatchOnline call — a busy shard's backlog batches naturally, an
-  /// idle shard marks solo with no added latency. Shed, degraded, and
-  /// probe windows always mark solo. Merge order is unchanged, so
+  /// Most windows per MarkBatchOnline call (every shard mark is one).
+  /// 1 = each window is a batch of one (default). >1: a shard worker
+  /// marks up to batch_size adjacent level-0/1 windows from one burst of
+  /// its work ring per call — a busy shard's backlog batches naturally,
+  /// an idle shard marks solo with no added latency. Shed, degraded,
+  /// and probe windows always mark alone. Merge order is unchanged, so
   /// results stay byte-identical to batch_size = 1.
   size_t batch_size = 1;
 

@@ -32,131 +32,73 @@ std::map<QueryId, std::vector<EventId>> ServeFilter::RecordedMarks() const {
   return out;
 }
 
-std::vector<double> ServeFilter::Thresholds(const RegistrySnapshot& snapshot,
-                                            double boost) const {
+std::vector<double> ServeFilter::Thresholds(
+    const RegistrySnapshot& snapshot) const {
   std::vector<double> thresholds;
   thresholds.reserve(snapshot.queries.size());
   for (const QueryEntry& entry : snapshot.queries) {
-    const double base = entry.threshold >= 0.0 ? entry.threshold
-                                               : heads_->event_threshold();
-    thresholds.push_back(base + boost);
+    thresholds.push_back(entry.threshold >= 0.0 ? entry.threshold
+                                                : heads_->event_threshold());
   }
   return thresholds;
 }
 
 void ServeFilter::Record(const RegistrySnapshot& snapshot,
-                         const EventStream& window,
-                         const std::vector<std::vector<int>>& per_query) const {
+                         std::span<const Event> window,
+                         std::span<const std::vector<int>> per_query) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t q = 0; q < snapshot.queries.size(); ++q) {
     std::unordered_set<EventId>& ids = sink_[snapshot.queries[q].id];
-    const std::vector<int>& marks = per_query[q];
+    const std::vector<int>& marks = per_query[per_query.size() == 1 ? 0 : q];
     for (size_t t = 0; t < marks.size(); ++t) {
       if (marks[t] == 1) ids.insert(window[t].id);
     }
   }
 }
 
-std::vector<int> ServeFilter::MarkWindow(const RegistrySnapshot& snapshot,
-                                         const EventStream& window,
-                                         InferenceContext* ctx,
-                                         double boost) const {
-  const size_t n = window.size();
-  if (snapshot.queries.empty()) return std::vector<int>(n, 0);
-
-  if (heads_ != nullptr) {
-    std::vector<std::vector<int>> per_query;
-    heads_->MarkOnlineMultiHead(window, ctx, Thresholds(snapshot, boost),
-                                &per_query);
-    // A non-finite marginal poisons every head's decode identically;
-    // propagate the whole-window sentinel for the health guard.
-    if (!per_query.empty() && !per_query[0].empty() &&
-        per_query[0][0] == kInvalidMark) {
-      return std::vector<int>(n, kInvalidMark);
-    }
-    Record(snapshot, window, per_query);
-    std::vector<int> unioned(n, 0);
-    for (const std::vector<int>& marks : per_query) {
-      for (size_t t = 0; t < n; ++t) unioned[t] |= marks[t] == 1;
-    }
-    return unioned;
-  }
-
-  // Single-head base filter: every query shares the base marks.
-  std::vector<int> marks = base_->MarkOnline(window, 0, ctx, boost);
-  if (!marks.empty() && marks[0] == kInvalidMark) return marks;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const QueryEntry& entry : snapshot.queries) {
-    std::unordered_set<EventId>& ids = sink_[entry.id];
-    for (size_t t = 0; t < marks.size(); ++t) {
-      if (marks[t] == 1) ids.insert(window[t].id);
-    }
-  }
-  return marks;
-}
-
-std::vector<int> ServeFilter::MarkOnline(const EventStream& window,
-                                         size_t stream_begin,
-                                         InferenceContext* ctx,
-                                         double threshold_boost) const {
-  (void)stream_begin;  // content-based, like the trunk it wraps
+void ServeFilter::MarkWindows(std::span<const WindowView> windows,
+                              InferenceContext* ctx,
+                              std::vector<int>* marks) const {
   const auto snapshot = registry_->Acquire();
-  return MarkWindow(*snapshot, window, ctx, threshold_boost);
-}
-
-void ServeFilter::MarkBatchOnline(std::span<const OnlineWindow> windows,
-                                  InferenceContext* ctx,
-                                  std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  const auto snapshot = registry_->Acquire();
-
-  if (heads_ != nullptr && !snapshot->queries.empty()) {
-    // One ForwardBatch slab for the whole micro-batch, then per-window
-    // per-query decodes off the shared marginals.
-    std::vector<std::vector<std::vector<int>>> batched;
-    heads_->MarkBatchOnlineMultiHead(windows, ctx,
-                                     Thresholds(*snapshot, 0.0), &batched);
+  const size_t num_queries = snapshot->queries.size();
+  if (num_queries == 0) {
     for (size_t w = 0; w < windows.size(); ++w) {
-      const EventStream& window = *windows[w].events;
-      const std::vector<std::vector<int>>& per_query = batched[w];
-      if (!per_query.empty() && !per_query[0].empty() &&
-          per_query[0][0] == kInvalidMark) {
-        marks[w].assign(window.size(), kInvalidMark);
-        continue;
-      }
-      Record(*snapshot, window, per_query);
-      marks[w].assign(window.size(), 0);
-      for (const std::vector<int>& query_marks : per_query) {
-        for (size_t t = 0; t < window.size(); ++t) {
-          marks[w][t] |= query_marks[t] == 1;
-        }
-      }
+      marks[w].assign(windows[w].events.size(), 0);
     }
     return;
   }
 
+  if (heads_ == nullptr) {
+    // Single-head base filter: every query shares the base marks.
+    base_->MarkWindows(windows, ctx, marks);
+    for (size_t w = 0; w < windows.size(); ++w) {
+      if (!marks[w].empty() && marks[w][0] == kInvalidMark) continue;
+      Record(*snapshot, windows[w].events, {&marks[w], 1});
+    }
+    return;
+  }
+
+  // One trunk slab for the whole batch, then per-window per-query
+  // decodes off the shared marginals.
+  std::vector<std::vector<int>> per_query(windows.size() * num_queries);
+  heads_->MarkWindowsMultiHead(windows, ctx, Thresholds(*snapshot),
+                               per_query.data());
   for (size_t w = 0; w < windows.size(); ++w) {
-    marks[w] = MarkWindow(*snapshot, *windows[w].events, ctx,
-                          windows[w].threshold_boost);
+    const size_t n = windows[w].events.size();
+    const std::span<const std::vector<int>> window_marks(
+        &per_query[w * num_queries], num_queries);
+    // A non-finite marginal poisons every head's decode identically;
+    // propagate the whole-window sentinel for the health guard.
+    if (n > 0 && window_marks[0][0] == kInvalidMark) {
+      marks[w].assign(n, kInvalidMark);
+      continue;
+    }
+    Record(*snapshot, windows[w].events, window_marks);
+    marks[w].assign(n, 0);
+    for (const std::vector<int>& query_marks : window_marks) {
+      for (size_t t = 0; t < n; ++t) marks[w][t] |= query_marks[t] == 1;
+    }
   }
-}
-
-std::vector<int> ServeFilter::Mark(const EventStream& stream,
-                                   WindowRange range) const {
-  return MarkWith(stream, range, nullptr);
-}
-
-std::vector<int> ServeFilter::MarkWith(const EventStream& stream,
-                                       WindowRange range,
-                                       InferenceContext* ctx) const {
-  // The batch pipeline hands index ranges; detach the window so the
-  // online decode path (and its id-based recording) applies verbatim.
-  EventStream window(stream.schema_ptr());
-  for (const Event& event : stream.View(range.begin, range.size())) {
-    window.AppendArrival(event);
-  }
-  const auto snapshot = registry_->Acquire();
-  return MarkWindow(*snapshot, window, ctx, 0.0);
 }
 
 }  // namespace serve

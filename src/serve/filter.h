@@ -1,11 +1,11 @@
 // The shared-inference filter: one StreamFilter that serves every
 // registered query.
 //
-// Per window (on whatever worker/shard thread the runtime dispatches
-// to) the filter acquires the current registry snapshot lock-free,
-// featurizes ONCE, runs ONE trunk forward (reusing the caller's
-// InferenceContext scratch arena, and the ForwardBatch slab on the
-// micro-batched path), and decodes per-query marks:
+// Per marking call (on whatever shard thread the runtime dispatches
+// to; one window or a micro-batch) the filter acquires the current
+// registry snapshot, featurizes ONCE, runs ONE trunk forward over the
+// batch slab (reusing the caller's InferenceContext scratch arena), and
+// decodes per-query marks:
 //
 //  * with a multi-head trunk (EventNetworkFilter): the CRF marginals
 //    are computed once and thresholded once per query — the cheap
@@ -17,7 +17,8 @@
 // relayed if any query wants it); the per-query attribution is recorded
 // in a sink the MultiQueryServer reads at extraction time. Recording is
 // one short mutex hold per window — window granularity, not event
-// granularity — which keeps the hot path lock-free everywhere else.
+// granularity — and, with the registry's pointer copy, the only lock on
+// the marking path.
 //
 // Equivalence contract (tests/multi_query_runtime_test.cc): in a
 // lossless below-capacity run, a query's recorded id set — and hence
@@ -54,16 +55,8 @@ class ServeFilter : public StreamFilter {
 
   std::string name() const override { return "serve"; }
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override;
-  std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
-                            InferenceContext* ctx) const override;
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext* ctx,
-                              double threshold_boost) const override;
-  void MarkBatchOnline(std::span<const OnlineWindow> windows,
-                       InferenceContext* ctx,
-                       std::vector<int>* marks) const override;
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override;
 
   /// Clears the per-query attribution sink (start of a run).
   void ResetRecording();
@@ -74,15 +67,13 @@ class ServeFilter : public StreamFilter {
   std::map<QueryId, std::vector<EventId>> RecordedMarks() const;
 
  private:
-  /// Decodes one window under `snapshot` and records attribution.
-  /// Returns the union marks (kInvalidMark sentinel preserved).
-  std::vector<int> MarkWindow(const RegistrySnapshot& snapshot,
-                              const EventStream& window,
-                              InferenceContext* ctx, double boost) const;
-  void Record(const RegistrySnapshot& snapshot, const EventStream& window,
-              const std::vector<std::vector<int>>& per_query) const;
-  std::vector<double> Thresholds(const RegistrySnapshot& snapshot,
-                                 double boost) const;
+  /// Adds the ids each query relays in `window` to its recorded set.
+  /// `per_query` holds one mark vector per snapshot query, or a single
+  /// one that every query shares.
+  void Record(const RegistrySnapshot& snapshot,
+              std::span<const Event> window,
+              std::span<const std::vector<int>> per_query) const;
+  std::vector<double> Thresholds(const RegistrySnapshot& snapshot) const;
 
   const QueryRegistry* registry_;      ///< not owned
   const StreamFilter* base_;           ///< not owned

@@ -26,7 +26,11 @@ void QueryRegistry::PublishLocked() {
     plan_queries.push_back(PlanQuery{entry.pattern.get(), entry.engine});
   }
   snapshot->plan = BuildSharedCepPlan(plan_queries);
-  snapshot_.store(std::move(snapshot), std::memory_order_release);
+  std::shared_ptr<const RegistrySnapshot> old;
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    old = std::exchange(snapshot_, std::move(snapshot));
+  }  // `old` (possibly the last reference) is released outside the lock
   obs::RegistryQueries()->Set(static_cast<double>(live_.size()));
   if (version_ > 0) obs::RegistrySnapshots()->Increment();
 }
@@ -71,7 +75,8 @@ Status QueryRegistry::Unregister(QueryId id) {
 }
 
 std::shared_ptr<const RegistrySnapshot> QueryRegistry::Acquire() const {
-  return snapshot_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
 }
 
 size_t QueryRegistry::size() const {

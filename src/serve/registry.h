@@ -3,17 +3,20 @@
 //
 // Registrations and unregistrations rebuild an immutable
 // RegistrySnapshot (query list + shared-CEP plan) under a writer mutex
-// and publish it with one atomic shared_ptr swap (RCU-style). Readers —
-// the ServeFilter on every worker/shard thread, once per window — do a
-// single lock-free atomic load and hold the snapshot for the duration
-// of the window; a concurrent unregister can therefore never invalidate
-// a pattern mid-mark. Mutations are O(live queries) for the plan
-// rebuild, which is the intended trade: churn is rare, windows are not.
+// and publish it with one shared_ptr swap (RCU-style). Readers — the
+// ServeFilter on every shard thread, once per marking call — copy the
+// current pointer and hold the snapshot for the duration of the call;
+// a concurrent unregister can therefore never invalidate a pattern
+// mid-mark. The pointer itself sits behind its own small mutex, held
+// only for the copy or the swap — never across a plan rebuild, so a
+// reader waits at most one pointer copy, not a writer's O(live queries)
+// rebuild. (std::atomic<std::shared_ptr> would avoid even that, but
+// libstdc++ 12's implementation is reported as a data race by
+// ThreadSanitizer.) Churn is rare, windows are not.
 
 #ifndef DLACEP_SERVE_REGISTRY_H_
 #define DLACEP_SERVE_REGISTRY_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -70,8 +73,9 @@ class QueryRegistry {
   /// never registered or already removed.
   Status Unregister(QueryId id);
 
-  /// Lock-free: one atomic shared_ptr load. Never null; the empty
-  /// registry is a snapshot with no queries.
+  /// One shared_ptr copy under the snapshot mutex (never blocked by a
+  /// plan rebuild). Never null; the empty registry is a snapshot with no
+  /// queries.
   std::shared_ptr<const RegistrySnapshot> Acquire() const;
 
   size_t size() const;
@@ -83,7 +87,10 @@ class QueryRegistry {
   std::vector<QueryEntry> live_;
   QueryId next_id_ = 1;
   uint64_t version_ = 0;
-  std::atomic<std::shared_ptr<const RegistrySnapshot>> snapshot_;
+  /// Guards only the snapshot_ pointer (copy in Acquire, swap in
+  /// PublishLocked); mu_ serializes writers.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const RegistrySnapshot> snapshot_;
 };
 
 }  // namespace serve

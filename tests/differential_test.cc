@@ -181,10 +181,12 @@ class SlowStartFilter : public StreamFilter {
   SlowStartFilter(int slow_calls, std::chrono::milliseconds delay)
       : remaining_(slow_calls), delay_(delay) {}
   std::string name() const override { return "slow-start"; }
-  std::vector<int> Mark(const EventStream&,
-                        WindowRange range) const override {
-    if (remaining_.fetch_sub(1) > 0) std::this_thread::sleep_for(delay_);
-    return std::vector<int>(range.size(), 1);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      if (remaining_.fetch_sub(1) > 0) std::this_thread::sleep_for(delay_);
+      marks[w].assign(windows[w].events.size(), 1);
+    }
   }
 
  private:
@@ -233,16 +235,12 @@ class FlakyFilter : public StreamFilter {
  public:
   explicit FlakyFilter(size_t bad_before) : bad_before_(bad_before) {}
   std::string name() const override { return "flaky"; }
-  std::vector<int> Mark(const EventStream&,
-                        WindowRange range) const override {
-    return std::vector<int>(range.size(), 1);
-  }
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext*, double) const override {
-    if (stream_begin < bad_before_) {
-      return std::vector<int>(window.size(), kInvalidMark);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      marks[w].assign(windows[w].events.size(),
+                      windows[w].position < bad_before_ ? kInvalidMark : 1);
     }
-    return std::vector<int>(window.size(), 1);
   }
 
  private:

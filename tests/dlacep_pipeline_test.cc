@@ -12,6 +12,7 @@
 #include "dlacep/analysis.h"
 #include "dlacep/event_filter.h"
 #include "dlacep/extractor.h"
+#include "dlacep/multi_pattern.h"
 #include "dlacep/oracle_filter.h"
 #include "dlacep/pipeline.h"
 #include "dlacep/window_filter.h"
@@ -229,6 +230,42 @@ TEST(Pipeline, FilteringRatioCountsRelayedBlanks) {
   EXPECT_GT(result.marked_ids.size(), result.marked_events);
 }
 
+// Regression: MultiPatternDlacep::Evaluate kept its own copy of the
+// filtration loop and took marked_events from the last pattern's
+// extractor.stats().events_processed — a count that drops blanks (and
+// depends on the pattern). It now shares the pipeline's filtration and
+// merge, so a relay-everything filter reports Ψ = 0 on a stream with
+// blanks, exactly like the pipeline.
+TEST(MultiPattern, FilteringRatioCountsRelayedBlanks) {
+  auto schema = MakeSyntheticSchema(3, 1);
+  EventStream stream(schema);
+  for (int i = 0; i < 80; ++i) {
+    if (i % 4 == 3) {
+      stream.AppendBlank(static_cast<double>(i));
+    } else {
+      stream.Append(static_cast<TypeId>(i % 3), static_cast<double>(i),
+                    {static_cast<double>(i % 5)});
+    }
+  }
+  std::vector<Pattern> patterns;
+  patterns.push_back(TypeOnlySeq(stream.schema_ptr(), 8));
+  patterns.push_back(TypeOnlySeq(stream.schema_ptr(), 6));
+  DlacepConfig config;
+  config.network.hidden_dim = 4;
+  config.network.num_layers = 1;
+  config.train.max_epochs = 1;
+  config.event_threshold = 0.0;  // every finite marginal clears it
+  MultiPatternDlacep system(patterns, stream, config);
+  const MultiPatternResult result = system.Evaluate(stream);
+
+  EXPECT_EQ(result.marked_events, stream.size());
+  EXPECT_EQ(result.filtering_ratio(), 0.0);
+  // The same count the pipeline reports for a relay-everything filter.
+  DlacepPipeline pipeline(patterns[0], std::make_unique<PassThroughFilter>(),
+                          config);
+  EXPECT_EQ(result.marked_events, pipeline.Evaluate(stream).marked_events);
+}
+
 // Regression: with the default overlapping geometry (mark = 2w, step =
 // w) the merge loop used to relay every covering window's copy of a
 // marked event into the extractor feed — roughly doubling the
@@ -313,14 +350,15 @@ class RandomMarkFilter : public StreamFilter {
  public:
   explicit RandomMarkFilter(uint64_t seed) : seed_(seed) {}
   std::string name() const override { return "random"; }
-  std::vector<int> Mark(const EventStream&,
-                        WindowRange range) const override {
-    // Per-window generator: Mark must be re-entrant (see filter.h).
-    Rng rng(seed_ ^ (0x9e3779b97f4a7c15ULL *
-                     (static_cast<uint64_t>(range.begin) + 1)));
-    std::vector<int> marks(range.size());
-    for (auto& m : marks) m = rng.Bernoulli(0.5) ? 1 : 0;
-    return marks;
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      // Per-window generator: marking must be re-entrant (see filter.h).
+      Rng rng(seed_ ^ (0x9e3779b97f4a7c15ULL *
+                       (static_cast<uint64_t>(windows[w].position) + 1)));
+      marks[w].resize(windows[w].events.size());
+      for (auto& m : marks[w]) m = rng.Bernoulli(0.5) ? 1 : 0;
+    }
   }
 
  private:

@@ -238,9 +238,9 @@ TEST(MultiPattern, SharedFilterServesBothPatternsWithoutFalsePositives) {
 }
 
 TEST(MultiPattern, FastPathEvaluateMatchesLegacyTapeMarking) {
-  // Evaluate now marks through the frozen-cell fast path (MarkWith /
-  // MarkBatchWith); the autograd-tape Mark per window is the reference
-  // it must reproduce bit for bit, at any batch size.
+  // Evaluate marks through the pipeline's filtration stage (chunked
+  // MarkBatchWith calls); per-window Mark calls on the shared filter
+  // are the reference it must reproduce bit for bit, at any batch size.
   const EventStream train = SmallStream(1200, 71);
   const EventStream test = SmallStream(500, 72);
   auto schema = train.schema_ptr();

@@ -200,17 +200,12 @@ class FlakyFilter : public StreamFilter {
 
   std::string name() const override { return "flaky"; }
 
-  std::vector<int> Mark(const EventStream&,
-                        WindowRange range) const override {
-    return std::vector<int>(range.size(), 1);
-  }
-
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext*, double) const override {
-    if (stream_begin < bad_before_) {
-      return std::vector<int>(window.size(), kInvalidMark);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      marks[w].assign(windows[w].events.size(),
+                      windows[w].position < bad_before_ ? kInvalidMark : 1);
     }
-    return std::vector<int>(window.size(), 1);
   }
 
  private:

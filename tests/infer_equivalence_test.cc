@@ -10,15 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "dlacep/event_filter.h"
+#include "dlacep/oracle_filter.h"
+#include "dlacep/shedding_filter.h"
 #include "dlacep/tcn_filter.h"
 #include "dlacep/window_filter.h"
 #include "nn/infer.h"
 #include "nn/layers.h"
 #include "nn/tape.h"
+#include "serve/filter.h"
+#include "serve/registry.h"
 #include "test_util.h"
 
 namespace dlacep {
@@ -61,7 +66,8 @@ TEST(InferEquivalence, StackedBiLstmMatchesTape) {
       const Matrix& ref = stack.Forward(&tape, tape.Input(x)).value();
 
       ctx.Reset();
-      const Matrix& out = frozen.Forward(&ctx, x);
+      const size_t offsets[] = {0, t};
+      const Matrix& out = frozen.ForwardBatch(&ctx, x, offsets);
       ASSERT_EQ(ref.rows(), out.rows());
       ASSERT_EQ(ref.cols(), out.cols());
       EXPECT_LE(ref.MaxAbsDiff(out), kTol) << "seed " << seed << " T " << t;
@@ -81,7 +87,8 @@ TEST(InferEquivalence, TcnMatchesTape) {
       const Matrix& ref = tcn.Forward(&tape, tape.Input(x)).value();
 
       ctx.Reset();
-      const Matrix& out = frozen.Forward(&ctx, x);
+      const size_t offsets[] = {0, t};
+      const Matrix& out = frozen.ForwardBatch(&ctx, x, offsets);
       ASSERT_EQ(ref.rows(), out.rows());
       ASSERT_EQ(ref.cols(), out.cols());
       EXPECT_LE(ref.MaxAbsDiff(out), kTol) << "seed " << seed << " T " << t;
@@ -91,15 +98,25 @@ TEST(InferEquivalence, TcnMatchesTape) {
 
 // ---------------------------------------------------------------------
 // Batched inference: ForwardBatch over a ragged stacked slab must match
-// per-window Forward row for row. Dense/TCN are row-local, so their
-// batched path is the same arithmetic; the stacked LSTM's lockstep
-// GEMMs reassociate sums across windows, so the contract there is the
-// suite-wide 1e-9 — the same tolerance the tape/fast split carries.
+// B = 1 ForwardBatch calls on each window alone, row for row. Dense/TCN
+// are row-local, so their batched path is the same arithmetic; the
+// stacked LSTM's projection GEMM may reassociate sums across windows,
+// so the contract there is the suite-wide 1e-9 — the same tolerance
+// the tape/fast split carries.
 
 std::vector<size_t> PrefixOffsets(const std::vector<size_t>& lens) {
   std::vector<size_t> offsets(1, 0);
   for (size_t len : lens) offsets.push_back(offsets.back() + len);
   return offsets;
+}
+
+/// B = 1 forward of one window through `frozen`, copied out of the arena.
+template <class Frozen>
+Matrix SingleWindowForward(const Frozen& frozen, InferenceContext* ctx,
+                           const Matrix& x) {
+  ctx->Reset();
+  const size_t offsets[] = {0, x.rows()};
+  return frozen.ForwardBatch(ctx, x, offsets);
 }
 
 Matrix StackWindows(const std::vector<Matrix>& windows) {
@@ -133,8 +150,7 @@ TEST(InferEquivalence, StackedBiLstmBatchMatchesSingle) {
     std::vector<Matrix> refs;
     InferenceContext single;
     for (const Matrix& x : windows) {
-      single.Reset();
-      refs.push_back(frozen.Forward(&single, x));  // copy out of the arena
+      refs.push_back(SingleWindowForward(frozen, &single, x));
     }
 
     const Matrix x_all = StackWindows(windows);
@@ -170,8 +186,7 @@ TEST(InferEquivalence, TcnBatchMatchesSingle) {
     std::vector<Matrix> refs;
     InferenceContext single;
     for (const Matrix& x : windows) {
-      single.Reset();
-      refs.push_back(frozen.Forward(&single, x));
+      refs.push_back(SingleWindowForward(frozen, &single, x));
     }
 
     const Matrix x_all = StackWindows(windows);
@@ -220,9 +235,10 @@ class InferFilterEquivalence : public ::testing::Test {
     for (size_t t : kSeqLens) {
       const Matrix features = RandomFeatures(t, &rng);
       const std::vector<int> tape_marks = filter.MarkFeaturesTape(features);
-      const std::vector<int> fast_marks = filter.MarkFeatures(features);
+      const std::vector<int> fast_marks =
+          filter.MarkFeatures(features, nullptr);
       const std::vector<int> reused_marks =
-          filter.MarkFeaturesWith(features, &shared);
+          filter.MarkFeatures(features, &shared);
       ASSERT_EQ(tape_marks.size(), t);
       EXPECT_EQ(tape_marks, fast_marks) << "T " << t;
       EXPECT_EQ(tape_marks, reused_marks) << "T " << t;
@@ -233,14 +249,14 @@ class InferFilterEquivalence : public ::testing::Test {
     for (size_t t : kSeqLens) {
       const Matrix features = RandomFeatures(t, &rng2);
       EXPECT_EQ(filter.MarkFeaturesTape(features),
-                filter.MarkFeaturesWith(features, &shared))
+                filter.MarkFeatures(features, &shared))
           << "reused-arena pass, T " << t;
     }
   }
 
-  /// Batched marks must equal per-window MarkWith marks exactly — for
-  /// every grouping of the same window set (batch sizes 1, 2, 3, 8 over
-  /// ten windows leave ragged tails of every flavor), all through ONE
+  /// Batched marks must equal B = 1 MarkWith marks exactly — for every
+  /// grouping of the same window set (batch sizes 1, 2, 3, 8 over ten
+  /// windows leave ragged tails of every flavor), all through ONE
   /// shared arena so buffer recycling across batch shapes is covered.
   void CheckFilterBatch(const StreamFilter& filter) {
     std::vector<WindowRange> windows;
@@ -320,10 +336,8 @@ TEST_F(InferFilterEquivalence, WindowNetworkFilter) {
 }
 
 // ---------------------------------------------------------------------
-// Batched marking: MarkBatchWith must reproduce per-window MarkWith
-// marks exactly for every batch grouping, across all three filter
-// types (the TCN filter overrides MarkBatchWith; MarkBatchOnline there
-// exercises the base-class per-window loop).
+// Batched marking: MarkBatchWith must reproduce B = 1 MarkWith marks
+// exactly for every batch grouping, across all three filter types.
 
 TEST_F(InferFilterEquivalence, EventNetworkFilterBatchMarks) {
   for (uint64_t seed : {31u, 32u, 33u}) {
@@ -358,9 +372,8 @@ TEST_F(InferFilterEquivalence, WindowNetworkFilterBatchMarks) {
   }
 }
 
-// MarkBatchOnline with per-window threshold boosts must match the
-// per-window MarkOnline it batches (the level-1 overload regime rides
-// this path; the pass-through base default must also hold).
+// MarkBatchOnline with per-window threshold boosts must match B = 1
+// MarkOnline calls (the level-1 overload regime rides this path).
 TEST_F(InferFilterEquivalence, EventNetworkFilterBatchOnlineBoosts) {
   NetworkConfig network;
   network.hidden_dim = 8;
@@ -391,6 +404,144 @@ TEST_F(InferFilterEquivalence, EventNetworkFilterBatchOnlineBoosts) {
   for (size_t i = 0; i < windows.size(); ++i) {
     EXPECT_EQ(expected[i], got[i]) << "window " << i;
   }
+}
+
+// Regression: the TCN filter used to inherit a per-window MarkOnline
+// that dropped threshold_boost, so level-1 (boosted) windows were
+// counted as boosted but marked at the base threshold. A boosted
+// window must mark exactly like a filter built with the raised
+// threshold — and, on this fixture, differently from the unboosted one.
+TEST_F(InferFilterEquivalence, TcnEventFilterHonorsThresholdBoost) {
+  NetworkConfig network;
+  network.hidden_dim = 8;
+  network.num_layers = 2;
+  network.seed = 73;
+  const double base = 0.3;
+  const double boost = 0.2;
+  const TcnEventFilter filter(&featurizer_, network, base);
+  const TcnEventFilter raised(&featurizer_, network, base + boost);
+
+  std::vector<std::shared_ptr<EventStream>> slices;
+  std::vector<OnlineWindow> boosted;
+  std::vector<OnlineWindow> plain;
+  size_t begin = 0;
+  for (size_t size : {16u, 7u, 33u, 1u, 64u}) {
+    slices.push_back(
+        std::make_shared<EventStream>(stream_.Slice(begin, size)));
+    boosted.push_back(OnlineWindow{slices.back().get(), begin, boost});
+    plain.push_back(OnlineWindow{slices.back().get(), begin, 0.0});
+    begin += size / 2 + 1;
+  }
+  InferenceContext ctx;
+  std::vector<std::vector<int>> got(boosted.size());
+  filter.MarkBatchOnline(boosted, &ctx, got.data());
+  std::vector<std::vector<int>> unboosted(plain.size());
+  filter.MarkBatchOnline(plain, &ctx, unboosted.data());
+
+  bool any_differs = false;
+  for (size_t i = 0; i < boosted.size(); ++i) {
+    EXPECT_EQ(got[i], raised.MarkOnline(*plain[i].events,
+                                        plain[i].stream_begin, &ctx, 0.0))
+        << "window " << i;
+    EXPECT_EQ(got[i], filter.MarkOnline(*boosted[i].events,
+                                        boosted[i].stream_begin, &ctx, boost))
+        << "window " << i;
+    any_differs = any_differs || got[i] != unboosted[i];
+  }
+  EXPECT_TRUE(any_differs)
+      << "boost " << boost << " changed no mark; the fixture cannot "
+      << "tell a boosted window from an unboosted one";
+}
+
+// ---------------------------------------------------------------------
+// One marking core per filter: for every in-tree filter, the five
+// public entry points are adapters over it and must return
+// byte-identical marks on the same windows.
+
+TEST_F(InferFilterEquivalence, FiveEntryPointsAgreeForEveryFilter) {
+  NetworkConfig network;
+  network.hidden_dim = 8;
+  network.num_layers = 2;
+  network.seed = 81;
+  const EventNetworkFilter event(&featurizer_, network, 0.5);
+  const WindowNetworkFilter window(&featurizer_, network, 0.5);
+  const TcnEventFilter tcn(&featurizer_, network, 0.5);
+  const RandomSheddingFilter random_shed(0.4, 99);
+  const TypeSheddingFilter type_shed(pattern_);
+  const OracleFilter oracle(pattern_);
+  const PassThroughFilter pass;
+  serve::QueryRegistry registry;
+  ASSERT_TRUE(registry.Register(pattern_).ok());
+  const serve::ServeFilter serve_heads(&registry, &event, &event);
+  const serve::ServeFilter serve_base(&registry, &random_shed);
+
+  struct Case {
+    const char* label;
+    const StreamFilter* filter;
+  };
+  const Case cases[] = {
+      {"event-network", &event},     {"window-network", &window},
+      {"tcn", &tcn},                 {"random-shedding", &random_shed},
+      {"type-shedding", &type_shed}, {"oracle", &oracle},
+      {"pass-through", &pass},       {"serve+heads", &serve_heads},
+      {"serve+base", &serve_base},
+  };
+
+  // SmallStream ids equal stream positions, so a detached window's head
+  // arrival id is its range.begin.
+  std::vector<WindowRange> ranges;
+  std::vector<std::shared_ptr<EventStream>> slices;
+  std::vector<OnlineWindow> online;
+  size_t begin = 0;
+  for (size_t size : {16u, 1u, 33u, 7u, 16u}) {
+    ranges.push_back(WindowRange{begin, begin + size});
+    slices.push_back(
+        std::make_shared<EventStream>(stream_.Slice(begin, size)));
+    online.push_back(OnlineWindow{slices.back().get(), begin, 0.0});
+    begin += size / 2 + 1;
+  }
+
+  for (const Case& c : cases) {
+    InferenceContext ctx;
+    std::vector<std::vector<int>> batch_with(ranges.size());
+    c.filter->MarkBatchWith(stream_, ranges, &ctx, batch_with.data());
+    std::vector<std::vector<int>> batch_online(online.size());
+    c.filter->MarkBatchOnline(online, &ctx, batch_online.data());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      const std::vector<int> mark = c.filter->Mark(stream_, ranges[i]);
+      ASSERT_EQ(mark.size(), ranges[i].size()) << c.label;
+      EXPECT_EQ(mark, c.filter->MarkWith(stream_, ranges[i], &ctx))
+          << c.label << " MarkWith, window " << i;
+      EXPECT_EQ(mark, batch_with[i])
+          << c.label << " MarkBatchWith, window " << i;
+      EXPECT_EQ(mark, c.filter->MarkOnline(*online[i].events,
+                                           online[i].stream_begin, &ctx, 0.0))
+          << c.label << " MarkOnline, window " << i;
+      EXPECT_EQ(mark, batch_online[i])
+          << c.label << " MarkBatchOnline, window " << i;
+    }
+  }
+
+  // Random shedding's two salts: range.begin on the batch entry points,
+  // the head arrival id on the online ones — never the caller's
+  // stream_begin. A stream whose ids are offset from its positions
+  // tells the two apart.
+  const EventStream shifted = stream_.Slice(5, 200);  // ids 5.., pos 0..
+  const WindowRange range{10, 26};
+  EXPECT_EQ(random_shed.Mark(shifted, range),
+            random_shed.MarkCount(range.size(), range.begin));
+  std::vector<std::vector<int>> batch(1);
+  random_shed.MarkBatchWith(shifted, {&range, 1}, nullptr, batch.data());
+  EXPECT_EQ(batch[0], random_shed.MarkCount(range.size(), range.begin));
+  const EventStream detached = shifted.Slice(range.begin, range.size());
+  ASSERT_EQ(detached[0].id, 15u);
+  const std::vector<int> by_id = random_shed.MarkCount(range.size(), 15);
+  EXPECT_NE(by_id, random_shed.MarkCount(range.size(), range.begin));
+  EXPECT_EQ(random_shed.MarkOnline(detached, range.begin, nullptr, 0.0),
+            by_id);
+  const OnlineWindow w{&detached, 1000, 0.0};
+  random_shed.MarkBatchOnline({&w, 1}, nullptr, batch.data());
+  EXPECT_EQ(batch[0], by_id);
 }
 
 // ---------------------------------------------------------------------

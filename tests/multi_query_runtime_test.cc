@@ -370,16 +370,11 @@ class FixedThresholdFilter : public StreamFilter {
 
   std::string name() const override { return "fixed-threshold"; }
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override {
-    return inner_->Mark(stream, range);
-  }
-
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext* ctx,
-                              double threshold_boost) const override {
-    return inner_->MarkOnline(window, stream_begin, ctx,
-                              threshold_boost + offset_);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override {
+    std::vector<WindowView> shifted(windows.begin(), windows.end());
+    for (WindowView& w : shifted) w.threshold_boost += offset_;
+    inner_->MarkWindows(shifted, ctx, marks);
   }
 
  private:

@@ -363,16 +363,18 @@ class VolGateFilter : public StreamFilter {
 
   std::string name() const override { return "vol-gate"; }
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override {
-    std::vector<int> marks(range.size(), 0);
-    for (size_t t = 0; t < range.size(); ++t) {
-      const Event& e = stream[range.begin + t];
-      if (!e.is_blank() && !e.attrs.empty() && e.attrs[0] > gate_) {
-        marks[t] = 1;
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      const std::span<const Event> events = windows[w].events;
+      marks[w].assign(events.size(), 0);
+      for (size_t t = 0; t < events.size(); ++t) {
+        const Event& e = events[t];
+        if (!e.is_blank() && !e.attrs.empty() && e.attrs[0] > gate_) {
+          marks[w][t] = 1;
+        }
       }
     }
-    return marks;
   }
 
  private:
@@ -530,10 +532,12 @@ class SlowThenFastFilter : public StreamFilter {
 
   std::string name() const override { return "slow-then-fast"; }
 
-  std::vector<int> Mark(const EventStream&,
-                        WindowRange range) const override {
-    if (remaining_.fetch_sub(1) > 0) std::this_thread::sleep_for(delay_);
-    return std::vector<int>(range.size(), 1);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      if (remaining_.fetch_sub(1) > 0) std::this_thread::sleep_for(delay_);
+      marks[w].assign(windows[w].events.size(), 1);
+    }
   }
 
  private:
@@ -687,12 +691,14 @@ class SlowSeqFilter : public StreamFilter {
 
   std::string name() const override { return "slow-seq"; }
 
-  std::vector<int> Mark(const EventStream&,
-                        WindowRange range) const override {
-    if (seq_->fetch_add(1) < slow_before_) {
-      std::this_thread::sleep_for(delay_);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      if (seq_->fetch_add(1) < slow_before_) {
+        std::this_thread::sleep_for(delay_);
+      }
+      marks[w].assign(windows[w].events.size(), 1);
     }
-    return std::vector<int>(range.size(), 1);
   }
 
  private:

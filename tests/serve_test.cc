@@ -326,6 +326,10 @@ struct TrainedTrunk {
   }
 };
 
+WindowView ViewOf(const EventStream& window, double boost = 0.0) {
+  return WindowView{window.View(0, window.size()), 0, boost};
+}
+
 TEST(MultiHeadDecoding, MatchesPerThresholdMarkOnlineBitForBit) {
   const TrainedTrunk trunk;
   const EventNetworkFilter* heads = trunk.system->filter();
@@ -333,10 +337,10 @@ TEST(MultiHeadDecoding, MatchesPerThresholdMarkOnlineBitForBit) {
   const std::vector<double> thresholds = {base, base - 0.15, base + 0.15};
 
   const EventStream window = trunk.Window(0, 16);
+  const WindowView view = ViewOf(window);
   InferenceContext ctx;
-  std::vector<std::vector<int>> per_query;
-  heads->MarkOnlineMultiHead(window, &ctx, thresholds, &per_query);
-  ASSERT_EQ(per_query.size(), thresholds.size());
+  std::vector<std::vector<int>> per_query(thresholds.size());
+  heads->MarkWindowsMultiHead({&view, 1}, &ctx, thresholds, per_query.data());
 
   for (size_t q = 0; q < thresholds.size(); ++q) {
     InferenceContext single_ctx;
@@ -361,27 +365,29 @@ TEST(MultiHeadDecoding, BatchedSlabMatchesPerWindowDecodes) {
   windows.push_back(trunk.Window(0, 16));
   windows.push_back(trunk.Window(8, 16));
   windows.push_back(trunk.Window(16, 12));  // ragged tail
-  std::vector<OnlineWindow> batch;
+  std::vector<WindowView> batch;
   for (size_t w = 0; w < windows.size(); ++w) {
-    OnlineWindow entry;
-    entry.events = &windows[w];
-    entry.stream_begin = 8 * w;
-    entry.threshold_boost = w == 1 ? 0.05 : 0.0;  // mixed overload level
-    batch.push_back(entry);
+    // Mixed overload level inside one slab.
+    batch.push_back(ViewOf(windows[w], w == 1 ? 0.05 : 0.0));
   }
 
   InferenceContext batch_ctx;
-  std::vector<std::vector<std::vector<int>>> batched;
-  heads->MarkBatchOnlineMultiHead(batch, &batch_ctx, thresholds, &batched);
-  ASSERT_EQ(batched.size(), batch.size());
+  const size_t num_queries = thresholds.size();
+  std::vector<std::vector<int>> batched(batch.size() * num_queries);
+  heads->MarkWindowsMultiHead(batch, &batch_ctx, thresholds, batched.data());
 
+  // Each window alone (B = 1), its boost folded into the thresholds.
   for (size_t w = 0; w < batch.size(); ++w) {
     InferenceContext ctx;
     std::vector<double> boosted = thresholds;
     for (double& t : boosted) t += batch[w].threshold_boost;
-    std::vector<std::vector<int>> expected;
-    heads->MarkOnlineMultiHead(windows[w], &ctx, boosted, &expected);
-    EXPECT_EQ(batched[w], expected) << "window " << w;
+    const WindowView single = ViewOf(windows[w]);
+    std::vector<std::vector<int>> expected(num_queries);
+    heads->MarkWindowsMultiHead({&single, 1}, &ctx, boosted, expected.data());
+    for (size_t q = 0; q < num_queries; ++q) {
+      EXPECT_EQ(batched[w * num_queries + q], expected[q])
+          << "window " << w << " query " << q;
+    }
   }
 }
 

@@ -130,9 +130,9 @@ TEST(ShardedOverload, EscalationLadderIsShardCountInvariant) {
 // Degrade-to-exact determinism across shard counts.
 
 /// Pass-through that reports invalid (untrustworthy) marks for a fixed
-/// set of window begins — a deterministic health violation. Overrides
-/// BOTH entry points: the batch path keys on range.begin, the online
-/// path on the stream_begin the runtime dispatched (identical values,
+/// set of window begins — a deterministic health violation. Keys on the
+/// window's position: range.begin on the batch path, the head arrival
+/// id on the online path (identical values in this lossless replay,
 /// since window geometry is global in every mode).
 class PoisonWindowFilter : public StreamFilter {
  public:
@@ -140,19 +140,12 @@ class PoisonWindowFilter : public StreamFilter {
 
   static bool Poisoned(size_t begin) { return begin == 48 || begin == 640; }
 
-  std::vector<int> Mark(const EventStream&,
-                        WindowRange range) const override {
-    return MarkAt(range.begin, range.size());
-  }
-
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext*, double) const override {
-    return MarkAt(stream_begin, window.size());
-  }
-
- private:
-  static std::vector<int> MarkAt(size_t begin, size_t count) {
-    return std::vector<int>(count, Poisoned(begin) ? kInvalidMark : 1);
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext*,
+                   std::vector<int>* marks) const override {
+    for (size_t w = 0; w < windows.size(); ++w) {
+      marks[w].assign(windows[w].events.size(),
+                      Poisoned(windows[w].position) ? kInvalidMark : 1);
+    }
   }
 };
 
