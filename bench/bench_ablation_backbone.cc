@@ -20,20 +20,6 @@ namespace dlacep {
 namespace workloads {
 namespace {
 
-/// Pipeline filter that borrows a trained network.
-class Borrowed : public StreamFilter {
- public:
-  explicit Borrowed(StreamFilter* inner) : inner_(inner) {}
-  std::string name() const override { return inner_->name(); }
-  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
-                   std::vector<int>* marks) const override {
-    inner_->MarkWindows(windows, ctx, marks);
-  }
-
- private:
-  const StreamFilter* inner_;
-};
-
 int Run() {
   const EventStream train = GenerateStockStream(StockConfig(5000, 1001));
   const EventStream test = GenerateStockStream(StockConfig(3000, 2002));
@@ -69,7 +55,7 @@ int Run() {
     const double train_seconds = train_watch.ElapsedSeconds();
     const double f1 = filter->Score(dataset.test_event).f1();
 
-    DlacepPipeline pipeline(pattern, std::make_unique<Borrowed>(filter),
+    DlacepPipeline pipeline(pattern, std::make_unique<BorrowedFilter>(filter),
                             config);
     const PipelineResult result = pipeline.Evaluate(test);
     const MatchSetMetrics quality = CompareMatchSets(exact, result.matches);

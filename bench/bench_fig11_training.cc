@@ -24,21 +24,6 @@ namespace dlacep {
 namespace workloads {
 namespace {
 
-/// Non-owning view of a filter, so one trained network can back several
-/// throw-away pipelines.
-class BorrowedFilter : public StreamFilter {
- public:
-  explicit BorrowedFilter(StreamFilter* inner) : inner_(inner) {}
-  std::string name() const override { return inner_->name(); }
-  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
-                   std::vector<int>* marks) const override {
-    inner_->MarkWindows(windows, ctx, marks);
-  }
-
- private:
-  const StreamFilter* inner_;
-};
-
 struct Snapshot {
   size_t epoch;
   std::vector<Matrix> values;

@@ -1,28 +1,21 @@
-// Parallel filtration sweep: filtration-stage wall clock vs
-// config.num_threads on the Figure-8 stock workload.
+// Parallel filtration sweeps on the Figure-8 stock workload. Every
+// evaluation runs on the online runtime: DlacepPipeline::Evaluate
+// replays the test stream through OnlineDlacep, with
+// DlacepConfig::num_threads as the shard count.
 //
-// Every assembler window is an independent inference, so the filtration
-// stage should scale with the worker count while producing the exact
-// mark sequence of the sequential run (deterministic window-order
-// merge). This bench trains each filter once, then re-evaluates the
-// same test stream under num_threads in {1, 2, 4, 8} and reports the
-// filtration wall clock, the speedup over the sequential run, and an
-// equality check of the merged mark vector against the 1-thread
-// baseline. Speedups flatten once the worker count passes the
-// machine's core count.
+// The shard sweep streams the test set at OnlineConfig::num_shards in
+// {1, 2, 4, 8} and reports end-to-end events/sec and routing skew
+// (busiest shard's windows over the mean) — the runtime's headline
+// scaling number, gated in CI (4 shards must beat 1 shard by >= 2.5x on
+// the multi-core runners, with byte-identical marks).
 //
-// A second sweep re-runs the same trained filters with every window
-// routed through the autograd tape forward instead of the frozen
-// inference path, reporting windows/sec for both — the before/after
-// picture of the tape-free fast path at the pipeline level, and a check
-// that both paths merge to identical marks.
-//
-// A third sweep streams the test set through the online runtime
-// (OnlineConfig::num_shards in {1, 2, 4, 8}) and reports end-to-end
-// events/sec and routing skew (busiest shard's windows over the mean)
-// — the runtime's headline scaling number, gated in CI (4 shards must
-// beat 1 shard by >= 2.5x on the multi-core runners, with
-// byte-identical marks).
+// The micro-batch sweep marks up to batch_size windows per filter call
+// on one shard; the tape sweep re-runs the same trained filters with
+// every window routed through the autograd tape forward instead of the
+// frozen inference path — the before/after picture of the tape-free
+// fast path, and a check that both paths merge to identical marks. A
+// metrics on/off A-B and the adaptive engine-selection gate close the
+// bench.
 
 #include <algorithm>
 #include <cstdio>
@@ -46,25 +39,9 @@ namespace dlacep {
 namespace workloads {
 namespace {
 
-/// Non-owning view so one trained filter can serve several pipelines.
-/// Forwards the marking core, so the borrowed filter keeps its arena
-/// reuse and its batched trunk.
-class BorrowedFilter : public StreamFilter {
- public:
-  explicit BorrowedFilter(const StreamFilter* inner) : inner_(inner) {}
-  std::string name() const override { return inner_->name(); }
-  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
-                   std::vector<int>* marks) const override {
-    inner_->MarkWindows(windows, ctx, marks);
-  }
-
- private:
-  const StreamFilter* inner_;
-};
-
 /// Tape-path view: routes every window through featurization plus the
-/// autograd tape forward — the pre-fast-path cost model. The pipeline's
-/// per-worker arenas are deliberately unused on this side.
+/// autograd tape forward — the pre-fast-path cost model. The shards'
+/// arenas are deliberately unused on this side.
 class TapePathFilter : public StreamFilter {
  public:
   TapePathFilter(const TrainableFilter* inner, const Featurizer* featurizer)
@@ -83,52 +60,7 @@ class TapePathFilter : public StreamFilter {
   const Featurizer* featurizer_;
 };
 
-constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
 constexpr int kRepetitions = 3;
-
-void SweepThreads(const std::string& label, const Pattern& pattern,
-                  const BuiltDlacep& built, const DlacepConfig& base,
-                  const EventStream& test) {
-  double baseline_seconds = 0.0;
-  PipelineResult reference;
-  for (const size_t threads : kThreadSweep) {
-    DlacepConfig config = base;
-    config.num_threads = threads;
-    DlacepPipeline pipeline(
-        pattern, std::make_unique<BorrowedFilter>(&built.pipeline->filter()),
-        config);
-    // Best-of-N filtration wall clock; the mark vector is checked on
-    // every repetition.
-    double best_seconds = 0.0;
-    bool identical = true;
-    PipelineResult result;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      result = pipeline.Evaluate(test);
-      if (rep == 0 || result.filter_seconds < best_seconds) {
-        best_seconds = result.filter_seconds;
-      }
-      if (threads == 1 && rep == 0) reference = result;
-      identical = identical && result.marked_ids == reference.marked_ids &&
-                  result.marked_events == reference.marked_events &&
-                  result.matches.size() == reference.matches.size();
-    }
-    if (threads == 1) baseline_seconds = best_seconds;
-    std::printf("%-28s threads=%zu  filter=%8.4fs  speedup=%5.2fx  "
-                "filt=%5.1f%%  matches=%zu  identical=%s\n",
-                label.c_str(), threads, best_seconds,
-                baseline_seconds / std::max(best_seconds, 1e-9),
-                result.filtering_ratio() * 100.0, result.matches.size(),
-                identical ? "yes" : "NO");
-    std::fflush(stdout);
-    const std::string key = label + " threads=" + std::to_string(threads);
-    JsonReport::Metric(key, "filter_seconds", best_seconds);
-    JsonReport::Metric(key, "speedup",
-                       baseline_seconds / std::max(best_seconds, 1e-9));
-    JsonReport::Metric(key, "matches",
-                       static_cast<double>(result.matches.size()));
-    JsonReport::Metric(key, "identical", identical ? 1.0 : 0.0);
-  }
-}
 
 /// Online-runtime shard sweep: end-to-end ingest throughput through
 /// OnlineDlacep at num_shards in {1, 2, 4, 8} — the runtime's headline
@@ -194,9 +126,9 @@ void SweepShards(const std::string& label, const Pattern& pattern,
   }
 }
 
-/// Micro-batch sweep: windows marked per MarkBatchWith call, single
-/// worker so the GEMM batching effect is not confounded with thread
-/// scaling. batch=1 is the exact per-window path and the speedup
+/// Micro-batch sweep: at most batch_size windows marked per filter
+/// call, one shard so the GEMM batching effect is not confounded with
+/// shard scaling. batch=1 is the per-window path and the speedup
 /// baseline; marks must merge identically at every batch size.
 void SweepBatch(const std::string& label, const Pattern& pattern,
                 const BuiltDlacep& built, const DlacepConfig& base,
@@ -252,9 +184,9 @@ void SweepInferencePath(const std::string& label, const Pattern& pattern,
   if (trainable == nullptr) return;
   const double num_windows = static_cast<double>(
       built.pipeline->assembler().Windows(test.size()).size());
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     DlacepConfig config = base;
-    config.num_threads = threads;
+    config.num_threads = shards;
     DlacepPipeline tape_pipeline(
         pattern,
         std::make_unique<TapePathFilter>(trainable, built.featurizer.get()),
@@ -277,16 +209,16 @@ void SweepInferencePath(const std::string& label, const Pattern& pattern,
       identical = identical && tape.marked_ids == fast.marked_ids &&
                   tape.marked_events == fast.marked_events;
     }
-    std::printf("%-28s threads=%zu  tape=%9.1f w/s  infer=%9.1f w/s  "
+    std::printf("%-28s shards=%zu  tape=%9.1f w/s  infer=%9.1f w/s  "
                 "speedup=%5.2fx  identical=%s\n",
-                label.c_str(), threads,
+                label.c_str(), shards,
                 num_windows / std::max(tape_best, 1e-9),
                 num_windows / std::max(fast_best, 1e-9),
                 tape_best / std::max(fast_best, 1e-9),
                 identical ? "yes" : "NO");
     std::fflush(stdout);
     const std::string key =
-        label + " path threads=" + std::to_string(threads);
+        label + " path shards=" + std::to_string(shards);
     JsonReport::Metric(key, "tape_windows_per_sec",
                        num_windows / std::max(tape_best, 1e-9));
     JsonReport::Metric(key, "infer_windows_per_sec",
@@ -298,7 +230,7 @@ void SweepInferencePath(const std::string& label, const Pattern& pattern,
 
 /// Metrics on/off A-B on the inference fast path: the observability
 /// layer budgets <2% filtration throughput (CI gates on overhead_pct).
-/// Single-threaded so the scheduler can't masquerade as
+/// One shard so the scheduler can't masquerade as
 /// instrumentation cost, best-of-N per side, and A-B-B-A ordering so
 /// slow frequency/thermal drift cancels instead of biasing one side.
 /// The "on" side pre-registers the full standard schema to measure the
@@ -431,10 +363,9 @@ int Run() {
     const Pattern pattern = QA1(s, 4, 4, 0.9, 1.1, 3, w);
     BuiltDlacep built =
         BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
-    SweepThreads("QA1(j=4,k=4) event-net", pattern, built, config, test);
     std::printf("--- sharded online runtime (events/sec) ---\n");
     SweepShards("QA1(j=4,k=4) event-net", pattern, built, test);
-    std::printf("--- micro-batch sweep (1 worker, windows/sec) ---\n");
+    std::printf("--- micro-batch sweep (1 shard, windows/sec) ---\n");
     SweepBatch("QA1(j=4,k=4) event-net", pattern, built, config, test);
     std::printf("--- tape vs inference fast path (windows/sec) ---\n");
     SweepInferencePath("QA1(j=4,k=4) event-net", pattern, built, config,
@@ -447,7 +378,6 @@ int Run() {
     const Pattern pattern = QA3(s, 5, 12, 3, 2, 1, 4, 0.9, 1.1, 1.5, w);
     BuiltDlacep built =
         BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
-    SweepThreads("QA3(j=5,k=12) event-net", pattern, built, config, test);
     std::printf("--- tape vs inference fast path (windows/sec) ---\n");
     SweepInferencePath("QA3(j=5,k=12) event-net", pattern, built, config,
                        test);
@@ -456,8 +386,7 @@ int Run() {
     const Pattern pattern = QA3(s, 5, 12, 3, 2, 1, 4, 0.9, 1.1, 1.5, w);
     BuiltDlacep built =
         BuildDlacep(pattern, train, FilterKind::kWindowNetwork, config);
-    SweepThreads("QA3(j=5,k=12) window-net", pattern, built, config, test);
-    std::printf("--- micro-batch sweep (1 worker, windows/sec) ---\n");
+    std::printf("--- micro-batch sweep (1 shard, windows/sec) ---\n");
     SweepBatch("QA3(j=5,k=12) window-net", pattern, built, config, test);
     std::printf("--- tape vs inference fast path (windows/sec) ---\n");
     SweepInferencePath("QA3(j=5,k=12) window-net", pattern, built, config,

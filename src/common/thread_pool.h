@@ -1,23 +1,10 @@
-// A fixed-size thread pool for data-parallel fan-out over independent
-// work items (no work stealing — one shared FIFO queue).
-//
-// Usage contract: Submit() enqueues tasks, Wait() blocks until every
-// submitted task has finished. Tasks must not throw; failures inside the
-// library trip DLACEP_CHECK, which aborts. Determinism is the caller's
-// job: workers race over the queue, so callers that need a reproducible
-// result must write into pre-sized per-item slots and merge in item
-// order after Wait() (see DlacepPipeline::Evaluate).
+// Thread-count and core-affinity helpers for the online runtime's shard
+// workers (runtime/online.cc).
 
 #ifndef DLACEP_COMMON_THREAD_POOL_H_
 #define DLACEP_COMMON_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace dlacep {
 
@@ -31,53 +18,6 @@ size_t ResolveNumThreads(size_t requested);
 /// range). Callers must treat a false return as advisory — the sharded
 /// runtime counts it in ShardStats and keeps running unpinned.
 bool PinCurrentThreadToCore(size_t core);
-
-class ThreadPool {
- public:
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues one task. May be called again after Wait().
-  void Submit(std::function<void()> task);
-
-  /// Blocks until all previously submitted tasks have completed.
-  void Wait();
-
-  size_t num_threads() const { return workers_.size(); }
-
-  /// Index of the calling thread within its pool, in [0, num_threads()).
-  /// Returns 0 when the caller is not a pool worker (e.g. the main
-  /// thread running the sequential fallback), so per-worker scratch
-  /// indexed by this value is always valid.
-  static size_t CurrentWorkerIndex();
-
- private:
-  void WorkerLoop(size_t worker_index);
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable work_ready_;
-  std::condition_variable all_done_;
-  size_t outstanding_ = 0;  ///< queued + currently running tasks
-  bool stop_ = false;
-};
-
-/// Runs fn(i) for every i in [0, count), one task per index, and blocks
-/// until all calls have returned. A null pool (or a single-worker pool)
-/// degenerates to a plain sequential loop with no synchronization.
-void ParallelFor(ThreadPool* pool, size_t count,
-                 const std::function<void(size_t)>& fn);
-
-/// ParallelFor variant that also passes the executing worker's index so
-/// callers can maintain per-worker scratch (e.g. one InferenceContext
-/// per worker) without locking. The sequential fallback passes worker 0
-/// for every item.
-void ParallelForWorker(ThreadPool* pool, size_t count,
-                       const std::function<void(size_t, size_t)>& fn);
 
 }  // namespace dlacep
 

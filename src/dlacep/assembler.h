@@ -38,9 +38,12 @@ class InputAssembler {
   size_t mark_size() const { return mark_size_; }
   size_t step_size() const { return step_size_; }
 
-  /// The paper-default assembler for pattern window W.
-  static InputAssembler ForWindow(size_t w) {
-    return InputAssembler(2 * w, w);
+  /// The assembler for pattern window W: `mark_size`/`step_size` as
+  /// configured, 0 = the paper defaults 2·W / W.
+  static InputAssembler ForWindow(size_t w, size_t mark_size = 0,
+                                  size_t step_size = 0) {
+    return InputAssembler(mark_size != 0 ? mark_size : 2 * w,
+                          step_size != 0 ? step_size : w);
   }
 
  private:

@@ -40,22 +40,21 @@ struct DlacepConfig {
   /// Stream advance per evaluation step. 0 = the paper default W.
   size_t step_size = 0;
 
-  /// Worker threads for the filtration stage. Every assembler window is
-  /// an independent inference, so the pipeline shards windows across a
-  /// fixed-size thread pool and merges the per-window marks back in
-  /// window order — the marked-event sequence, MatchSet, and
-  /// filtering_ratio() are byte-identical to the sequential run
-  /// (tests/determinism_test.cc). 1 = inline on the calling thread
-  /// (default); 0 = hardware concurrency.
+  /// Shards of the evaluation run. DlacepPipeline::Evaluate replays the
+  /// stream through the online runtime (runtime/online.h), which routes
+  /// window k to shard k mod num_threads and merges marks back in
+  /// dispatch order — the marked-event sequence, MatchSet, and
+  /// filtering_ratio() are byte-identical at every setting
+  /// (tests/determinism_test.cc). 1 = one shard (default); 0 = hardware
+  /// concurrency.
   size_t num_threads = 1;
 
-  /// Windows marked per filter call in the filtration stage: the stage
-  /// groups consecutive assembler windows into chunks of this size (the
-  /// tail chunk may be smaller) and marks each with one MarkBatchWith
-  /// call. 1 (default) marks each window as a batch of one; >1 lets the
-  /// NN trunk run matrix-matrix GEMMs across windows. Marks are
-  /// byte-identical at every batch size; the underlying activations
-  /// agree to <= 1e-9 (see nn/infer.h).
+  /// Most windows per filter call in the evaluation run: a shard marks
+  /// up to this many adjacent windows of its backlog with one
+  /// MarkBatchOnline call. 1 (default) marks each window as a batch of
+  /// one; >1 lets the NN trunk run matrix-matrix GEMMs across windows.
+  /// Marks are byte-identical at every batch size; the underlying
+  /// activations agree to <= 1e-9 (see nn/infer.h).
   size_t batch_size = 1;
 
   NetworkConfig network;

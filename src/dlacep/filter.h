@@ -23,10 +23,11 @@ class InferenceContext;
 /// Sentinel mark value: the filter's scores were numerically invalid
 /// (NaN/Inf) for this window, so no trustworthy relay decision exists.
 /// Network filters return a whole-window vector of kInvalidMark instead
-/// of silently thresholding NaN to 0 (which would drop every event). The
-/// batch pipeline treats any nonzero mark as relay (conservative); the
-/// online runtime's HealthGuard recognizes the sentinel, quarantines the
-/// window (relaying it unfiltered), and flips into degraded mode.
+/// of silently thresholding NaN to 0 (which would drop every event). With
+/// health checks off (batch evaluation) any nonzero mark relays
+/// (conservative); with them on, the runtime's HealthGuard recognizes
+/// the sentinel, quarantines the window (relaying it unfiltered), and
+/// flips into degraded mode.
 inline constexpr int kInvalidMark = -1;
 
 /// One window of a MarkBatchOnline() micro-batch: the events the online
@@ -65,11 +66,10 @@ struct WindowView {
 /// call the core. They stay virtual only so that forwarding wrappers
 /// (perfbench's TracingFilter) can intercept every call.
 ///
-/// Marking is const and must be re-entrant: the batch pipeline calls it
-/// concurrently from its filtration workers and the online runtime from
-/// every shard. Implementations may only read shared state (model
-/// parameters, featurizer statistics) and must keep any scratch (rngs)
-/// local to the call, or serialize access internally. An
+/// Marking is const and must be re-entrant: the online runtime calls it
+/// concurrently from every shard. Implementations may only read shared
+/// state (model parameters, featurizer statistics) and must keep any
+/// scratch (rngs) local to the call, or serialize access internally. An
 /// InferenceContext passed in must not be shared across concurrent
 /// calls; nullptr gives the call a local arena.
 class StreamFilter {
@@ -120,6 +120,23 @@ class StreamFilter {
   virtual void MarkWindows(std::span<const WindowView> windows,
                            InferenceContext* ctx,
                            std::vector<int>* marks) const;
+};
+
+/// Non-owning view of another filter, so one trained filter can serve
+/// several pipelines (DlacepPipeline owns the filter it is given).
+/// Forwards the marking core, so the borrowed filter keeps its arena
+/// reuse and its batched trunk.
+class BorrowedFilter : public StreamFilter {
+ public:
+  explicit BorrowedFilter(const StreamFilter* inner) : inner_(inner) {}
+  std::string name() const override { return inner_->name(); }
+  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
+                   std::vector<int>* marks) const override {
+    inner_->MarkWindows(windows, ctx, marks);
+  }
+
+ private:
+  const StreamFilter* inner_;  ///< not owned
 };
 
 /// A filter backed by a trainable network.

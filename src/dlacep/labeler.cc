@@ -185,4 +185,18 @@ FilterDataset BuildFilterDataset(const Pattern& pattern,
   return dataset;
 }
 
+void OversamplePositive(std::vector<Sample>* samples, size_t factor) {
+  if (factor <= 1) return;
+  const size_t original = samples->size();
+  for (size_t i = 0; i < original; ++i) {
+    // Copy: push_back below may reallocate and invalidate references
+    // into the vector.
+    const Sample sample = (*samples)[i];
+    bool positive = false;
+    for (int label : sample.labels) positive |= label != 0;
+    if (!positive) continue;
+    for (size_t r = 1; r < factor; ++r) samples->push_back(sample);
+  }
+}
+
 }  // namespace dlacep

@@ -43,7 +43,7 @@ class SampleLabeler {
 
   /// Labels the events of stream[range] (exact CEP + negation awareness).
   /// Re-entrant: concurrent calls are serialized on the internal engine
-  /// (OracleFilter::Mark runs under the pipeline's thread pool).
+  /// (OracleFilter marks from every runtime shard).
   LabeledSample Label(const EventStream& stream, WindowRange range) const;
   /// Label() over a window view (`range` left empty).
   LabeledSample Label(std::span<const Event> window) const;
@@ -76,6 +76,11 @@ FilterDataset BuildFilterDataset(const Pattern& pattern,
                                  const Featurizer& featurizer,
                                  double train_fraction, uint64_t seed,
                                  bool negation_aware = true);
+
+/// Appends `factor` - 1 extra copies of every sample that carries at
+/// least one positive label (DlacepConfig::oversample_positive; 1 = no
+/// change). Copies follow the originals in their order.
+void OversamplePositive(std::vector<Sample>* samples, size_t factor);
 
 }  // namespace dlacep
 

@@ -5,6 +5,7 @@
 #include "common/timer.h"
 #include "dlacep/extractor.h"
 #include "dlacep/labeler.h"
+#include "runtime/source.h"
 
 namespace dlacep {
 
@@ -37,7 +38,9 @@ MultiPatternDlacep::MultiPatternDlacep(std::vector<Pattern> patterns,
                                        const DlacepConfig& config)
     : patterns_(std::move(patterns)),
       config_(config),
-      max_window_(MaxWindow(patterns_)) {
+      max_window_(MaxWindow(patterns_)),
+      assembler_(InputAssembler::ForWindow(max_window_, config.mark_size,
+                                           config.step_size)) {
   DLACEP_CHECK(!patterns_.empty());
   featurizer_ = std::make_unique<Featurizer>(UnionTypeSets(patterns_),
                                              train_stream);
@@ -45,17 +48,11 @@ MultiPatternDlacep::MultiPatternDlacep(std::vector<Pattern> patterns,
   // Unified labels: per-pattern datasets over the SAME assembler windows
   // and split seed, OR-ed together (an event is relevant if it serves any
   // pattern — §4.3).
-  const size_t mark =
-      config_.mark_size != 0 ? config_.mark_size : 2 * max_window_;
-  const size_t step =
-      config_.step_size != 0 ? config_.step_size : max_window_;
-  const InputAssembler assembler(mark, step);
-
   std::vector<Sample> train;
   std::vector<Sample> test;
   for (size_t p = 0; p < patterns_.size(); ++p) {
     FilterDataset dataset = BuildFilterDataset(
-        patterns_[p], train_stream, assembler, *featurizer_,
+        patterns_[p], train_stream, assembler_, *featurizer_,
         config_.train_fraction, config_.split_seed,
         config_.negation_aware_labeling);
     if (p == 0) {
@@ -77,18 +74,7 @@ MultiPatternDlacep::MultiPatternDlacep(std::vector<Pattern> patterns,
     }
   }
 
-  if (config_.oversample_positive > 1) {
-    const size_t original = train.size();
-    for (size_t i = 0; i < original; ++i) {
-      const Sample sample = train[i];  // copy: push_back may reallocate
-      bool positive = false;
-      for (int label : sample.labels) positive |= label != 0;
-      if (!positive) continue;
-      for (size_t r = 1; r < config_.oversample_positive; ++r) {
-        train.push_back(sample);
-      }
-    }
-  }
+  OversamplePositive(&train, config_.oversample_positive);
 
   filter_ = std::make_unique<EventNetworkFilter>(
       featurizer_.get(), config_.network, config_.event_threshold);
@@ -97,32 +83,32 @@ MultiPatternDlacep::MultiPatternDlacep(std::vector<Pattern> patterns,
 }
 
 MultiPatternResult MultiPatternDlacep::Evaluate(const EventStream& stream) {
+  CheckDenseIds(stream);
+  // One filtration run shared by every pattern (serve's composition,
+  // without its registry): the runtime relays the deduplicated marked
+  // events, then each pattern's exact engine extracts over them.
+  OnlineConfig online = ReplayConfig(config_);
+  online.mark_size = assembler_.mark_size();
+  online.step_size = assembler_.step_size();
+  online.collect_relayed = true;
+  online.skip_extraction = true;
+  OnlineDlacep runtime(patterns_[0], filter_.get(), online);
+  ReplaySource source(&stream);
+  const OnlineResult run = runtime.Run(&source);
+
   MultiPatternResult result;
   result.total_events = stream.size();
-
-  const size_t mark =
-      config_.mark_size != 0 ? config_.mark_size : 2 * max_window_;
-  const size_t step =
-      config_.step_size != 0 ? config_.step_size : max_window_;
-  const InputAssembler assembler(mark, step);
-
-  // The pipeline's filtration stage, inline (one scratch arena): the
-  // same chunked MarkBatchWith calls, the same window-order merge, and
-  // the same deduplicated relay count, blanks included.
-  Stopwatch filter_watch;
-  std::vector<std::unique_ptr<InferenceContext>> contexts;
-  const Filtration filtration =
-      RunFiltration(*filter_, stream, assembler.Windows(stream.size()),
-                    config_.batch_size, /*pool=*/nullptr, &contexts);
-  result.marked_events = filtration.marked_events;
-  result.filter_seconds = filter_watch.ElapsedSeconds();
+  result.marked_events = run.marked_events;
+  result.filter_seconds = run.stats.elapsed_seconds;
 
   Stopwatch cep_watch;
+  std::vector<const Event*> relayed;
+  relayed.reserve(run.relayed_events.size());
+  for (const Event& e : run.relayed_events) relayed.push_back(&e);
   result.per_pattern.resize(patterns_.size());
   for (size_t p = 0; p < patterns_.size(); ++p) {
     CepExtractor extractor(patterns_[p]);
-    const Status status =
-        extractor.Extract(filtration.relayed, &result.per_pattern[p]);
+    const Status status = extractor.Extract(relayed, &result.per_pattern[p]);
     DLACEP_CHECK_MSG(status.ok(), status.ToString());
   }
   result.cep_seconds = cep_watch.ElapsedSeconds();

@@ -9,7 +9,11 @@
 // pattern's exact engine over the shared filtered stream.
 //
 // All patterns must share the schema and use count windows; the
-// assembler is sized by the largest pattern window.
+// assembler is sized by the largest pattern window. Evaluate() is one
+// filtration run of the online runtime (collect_relayed,
+// skip_extraction) followed by one CepExtractor per pattern over the
+// relayed events — the composition src/serve uses, without its
+// registry, shared plans, or breakers.
 
 #ifndef DLACEP_DLACEP_MULTI_PATTERN_H_
 #define DLACEP_DLACEP_MULTI_PATTERN_H_
@@ -28,7 +32,7 @@ namespace dlacep {
 struct MultiPatternResult {
   std::vector<MatchSet> per_pattern;
   size_t total_events = 0;
-  /// Deduplicated relayed events, blanks included (see Filtration).
+  /// Deduplicated relayed events, blanks included (see PipelineResult).
   size_t marked_events = 0;
   double filter_seconds = 0.0;
   double cep_seconds = 0.0;
@@ -50,6 +54,9 @@ class MultiPatternDlacep {
                      const EventStream& train_stream,
                      const DlacepConfig& config);
 
+  /// Filters `stream` once and extracts every pattern's matches from
+  /// the relayed events. Dense ids required, as in
+  /// DlacepPipeline::Evaluate.
   MultiPatternResult Evaluate(const EventStream& stream);
 
   const BinaryMetrics& test_metrics() const { return test_metrics_; }
@@ -62,7 +69,7 @@ class MultiPatternDlacep {
   /// by this object; valid for its lifetime.
   const EventNetworkFilter* filter() const { return filter_.get(); }
 
-  /// Windows marked per filter call in Evaluate (mirrors
+  /// Most windows per filter call in Evaluate (mirrors
   /// DlacepConfig::batch_size). Exposed so equivalence tests can sweep
   /// batch sizes without retraining a second system.
   void set_batch_size(size_t batch_size) { config_.batch_size = batch_size; }
@@ -71,6 +78,7 @@ class MultiPatternDlacep {
   std::vector<Pattern> patterns_;
   DlacepConfig config_;
   size_t max_window_;
+  InputAssembler assembler_;
   std::unique_ptr<Featurizer> featurizer_;
   std::unique_ptr<EventNetworkFilter> filter_;
   BinaryMetrics test_metrics_;

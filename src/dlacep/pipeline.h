@@ -4,26 +4,23 @@
 //
 // plus the measurement protocol of §5.1: BuildDlacep() assembles,
 // labels, trains, and scores a filter network from a historical stream;
-// Evaluate() runs the filtration + extraction path over a fresh stream
-// and reports throughput, filtering ratio, and the match set;
-// CompareWithEcep() additionally runs a baseline ECEP engine over the
-// same stream and reports throughput gain and match quality.
+// Evaluate() replays a fresh stream through the online runtime
+// (runtime/online.h) and reports throughput, filtering ratio, and the
+// match set; CompareWithEcep() additionally runs a baseline ECEP engine
+// over the same stream and reports throughput gain and match quality.
 
 #ifndef DLACEP_DLACEP_PIPELINE_H_
 #define DLACEP_DLACEP_PIPELINE_H_
 
 #include <memory>
-#include <span>
-#include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dlacep/assembler.h"
 #include "dlacep/config.h"
 #include "dlacep/extractor.h"
 #include "dlacep/featurizer.h"
 #include "dlacep/filter.h"
-#include "nn/infer.h"
+#include "runtime/online.h"
 
 namespace dlacep {
 
@@ -31,20 +28,22 @@ namespace dlacep {
 struct PipelineResult {
   MatchSet matches;
   size_t total_events = 0;
-  /// Deduplicated marked events, counted by the pipeline over the
-  /// merged marks (overlapping assembler windows mark some events
-  /// twice; each is counted once). Blank/padding events count too —
-  /// the filter relayed them even though the extractor later drops
-  /// them — so filtering_ratio() reflects what the filter kept, not
-  /// what the engine processed.
+  /// Deduplicated marked events, counted by the runtime's merge
+  /// (overlapping assembler windows mark some events twice; each is
+  /// counted once). Blank/padding events count too — the filter relayed
+  /// them even though the extractor later drops them — so
+  /// filtering_ratio() reflects what the filter kept, not what the
+  /// engine processed.
   size_t marked_events = 0;
   /// Ids of marked events in deterministic merge order (window by
   /// window, duplicates from overlapping windows included). This is the
-  /// pipeline's mark vector: byte-identical across num_threads
-  /// settings, which the determinism tests assert.
+  /// pipeline's mark vector: byte-identical across num_threads and
+  /// batch_size settings, which the determinism tests assert.
   std::vector<EventId> marked_ids;
-  double filter_seconds = 0.0;  ///< wall clock, whatever num_threads is
-  double cep_seconds = 0.0;
+  /// Wall clock of the run's streaming phase (ingest through merged
+  /// marks), whatever num_threads is.
+  double filter_seconds = 0.0;
+  double cep_seconds = 0.0;  ///< end-of-stream extraction
   EngineStats cep_stats;
 
   double elapsed_seconds() const { return filter_seconds + cep_seconds; }
@@ -77,33 +76,20 @@ struct ComparisonResult {
   }
 };
 
-/// Outcome of the filtration stage over one stream.
-struct Filtration {
-  /// Relayed events for the extractor, deduplicated (first covering
-  /// window only), in window order.
-  std::vector<const Event*> relayed;
-  /// relayed.size(): every relayed event counts, blanks included, so a
-  /// filtering ratio built on it measures filtration, not extraction.
-  size_t marked_events = 0;
-  /// Ids of marked events in window order, duplicates from overlapping
-  /// windows included (PipelineResult::marked_ids).
-  std::vector<EventId> marked_ids;
-};
+/// The runtime configuration every batch evaluation uses: one lossless,
+/// overload- and health-check-free run over a ReplaySource, with
+/// config.num_threads shards, config.batch_size windows per filter call
+/// at most, and the assembler geometry of `config`. The in-flight bound
+/// leaves each shard room for two full batches (2·shards·batch_size + 2,
+/// the runtime's default at batch_size 1).
+OnlineConfig ReplayConfig(const DlacepConfig& config);
 
-/// The filtration stage shared by DlacepPipeline and
-/// MultiPatternDlacep: marks `windows` of `stream` in fixed chunks of
-/// `batch_size` consecutive windows (tail chunk smaller), one
-/// MarkBatchWith call per chunk, fanned out over `pool` (null = inline)
-/// with one scratch arena per worker from `contexts` (grown as needed).
-/// Chunk boundaries depend only on batch_size and the merge runs in
-/// window order, so the result is byte-identical at any worker count.
-Filtration RunFiltration(
-    const StreamFilter& filter, const EventStream& stream,
-    std::span<const WindowRange> windows, size_t batch_size,
-    ThreadPool* pool,
-    std::vector<std::unique_ptr<InferenceContext>>* contexts);
+/// CHECKs that `stream` carries dense ids 0..N-1 (ids strictly
+/// increase, so the ends suffice): the runtime reassigns arrival ids on
+/// replay, and a replayed match must name the stream's own events.
+void CheckDenseIds(const EventStream& stream);
 
-/// The assembled system: filter + extractor + assembler.
+/// The assembled system: assembler + filter + the runtime it runs on.
 class DlacepPipeline {
  public:
   /// `filter` may be a trained network, the oracle filter, or the
@@ -112,10 +98,12 @@ class DlacepPipeline {
                  std::unique_ptr<StreamFilter> filter,
                  const DlacepConfig& config);
 
-  /// Runs filtration + extraction over `stream`. With
-  /// config.num_threads != 1 the filtration stage fans window inference
-  /// out over a fixed-size thread pool; the result is byte-identical to
-  /// the sequential run (deterministic window-order merge).
+  /// Runs filtration + extraction over `stream`: one OnlineDlacep::Run
+  /// over a ReplaySource (ReplayConfig), so config.num_threads is the
+  /// shard count and the result is byte-identical at any setting. The
+  /// runtime assigns arrival ids 0..N-1, so `stream` must carry dense
+  /// ids from 0 — true of every generator and ReadCsv stream, not of an
+  /// offset Slice (CHECKed).
   PipelineResult Evaluate(const EventStream& stream);
 
   /// Runs Evaluate() plus a baseline ECEP engine over the same stream.
@@ -126,21 +114,10 @@ class DlacepPipeline {
   const InputAssembler& assembler() const { return assembler_; }
 
  private:
-  /// The pool used for parallel filtration, created lazily on the first
-  /// Evaluate() that wants more than one worker and reused afterwards.
-  ThreadPool* FiltrationPool();
-
   Pattern pattern_;
-  DlacepConfig config_;
   InputAssembler assembler_;
   std::unique_ptr<StreamFilter> filter_;
-  CepExtractor extractor_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// One inference scratch arena per filtration worker (slot 0 doubles
-  /// as the sequential path's arena), created lazily alongside the pool
-  /// and reused across windows and across Evaluate() calls — after the
-  /// first window each Mark runs allocation-free.
-  std::vector<std::unique_ptr<InferenceContext>> contexts_;
+  OnlineDlacep online_;  ///< borrows *filter_; reused across Evaluate()s
 };
 
 /// A fully built DLACEP instance: featurizer + trained filter + pipeline

@@ -140,8 +140,8 @@ struct OnlineDlacep::RunState {
 Status OnlineDlacep::ValidateForOnline(const Pattern& pattern) {
   if (pattern.window().kind != WindowKind::kCount) {
     return Status::InvalidArgument(
-        "the online runtime requires a count window; time-window "
-        "queries run through the batch pipeline");
+        "DLACEP filtration requires a count window (WITHIN N); "
+        "time-window queries can only be evaluated exactly (dlacep run)");
   }
   return Status::Ok();
 }
@@ -158,11 +158,10 @@ OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
   DLACEP_CHECK(filter_ != nullptr);
   DLACEP_CHECK_MSG(ValidateForOnline(pattern_).ok(),
                    ValidateForOnline(pattern_).message());
-  const size_t w = pattern_.window().count_size();
-  mark_size_ = config_.mark_size != 0 ? config_.mark_size : 2 * w;
-  step_size_ = config_.step_size != 0 ? config_.step_size : w;
-  DLACEP_CHECK_GT(mark_size_, 0u);
-  DLACEP_CHECK_GT(step_size_, 0u);
+  const InputAssembler assembler = InputAssembler::ForWindow(
+      pattern_.window().count_size(), config_.mark_size, config_.step_size);
+  mark_size_ = assembler.mark_size();
+  step_size_ = assembler.step_size();
   // One worker thread (spawned per Run) and one scratch arena per shard.
   num_shards_ = ResolveNumThreads(config_.num_shards);
   for (size_t i = 0; i < num_shards_; ++i) {
@@ -902,8 +901,9 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     DLACEP_CHECK_MSG(status.ok(), status.ToString());
     state.stats.extract_seconds = extract_watch.ElapsedSeconds();
     obs::StageCepEval()->Observe(state.stats.extract_seconds);
+    result->cep_stats = extractor_.stats();
     state.stats.cep_partial_matches_dropped =
-        extractor_.stats().partial_matches_dropped;
+        result->cep_stats.partial_matches_dropped;
     // Selection lives in the adaptive engine, not EngineStats, so it
     // survives the ResetStats() above; read it after the final Evaluate
     // in case a windowless run selected on the extraction span itself.

@@ -1,5 +1,8 @@
-// The push-based online runtime: turns the batch DlacepPipeline into a
-// streaming service.
+// The push-based online runtime: the one dataflow every DLACEP
+// evaluation runs on. A live source streams through it; a stored stream
+// replays through it (DlacepPipeline::Evaluate and
+// MultiPatternDlacep::Evaluate are a lossless, overload-off Run over a
+// ReplaySource).
 //
 //   source ──(producer thread)──▶ bounded ingest queue
 //          ──(router)──▶ watermark-closed windows
@@ -19,13 +22,10 @@
 // holds per-symbol state, so round-robin routing balances the shards to
 // within one window. The router merges completions strictly by
 // dispatch sequence (a shard's worker is FIFO, so its completion ring
-// is sequence-ordered), so:
-//
-//   CORRECTNESS CONTRACT (tests/runtime_test.cc): with a lossless
-//   producer and the overload controller disabled or never triggered,
-//   the merged mark sequence, deduplicated relayed-event count, and
-//   extracted MatchSet are byte-identical to DlacepPipeline::Evaluate
-//   on the same stream, for every shard count.
+// is sequence-ordered), so with a lossless producer and the overload
+// controller disabled or never triggered, the merged mark sequence,
+// deduplicated relayed-event count, and extracted MatchSet are the same
+// for every shard count and batch size.
 //
 // Overload, health, probe, and checkpoint decisions all stay on the
 // router, which is what keeps them independent of the shard count.
@@ -101,8 +101,8 @@ struct OnlineConfig {
   /// RuntimeStats (the emergency regime the paper's §6 discusses).
   bool drop_when_full = false;
 
-  /// Shard workers: the one parallelism setting. Resolved like
-  /// DlacepConfig::num_threads (0 = hardware concurrency).
+  /// Shard workers: the one parallelism setting (0 = hardware
+  /// concurrency). DlacepConfig::num_threads maps onto it.
   size_t num_shards = 1;
 
   /// Windows dispatched but not yet merged before the router stops
@@ -145,8 +145,8 @@ struct OnlineConfig {
   /// trail lands in dlacep_engine_selected_total{engine,pattern} and
   /// RuntimeStats. Selection is a pure function of the event stream, so
   /// matches stay byte-identical to any static engine. Tree/lazy kinds
-  /// abort construction (like the batch pipeline) when the pattern is
-  /// outside their class; adaptive never does.
+  /// abort construction when the pattern is outside their class;
+  /// adaptive never does.
   EngineKind engine = EngineKind::kNfa;
   EngineOptions engine_options;
 
@@ -161,13 +161,12 @@ struct OnlineConfig {
   std::function<void(uint64_t)> worker_window_hook;
 };
 
-/// Outcome of one Run(): the extracted matches plus everything the
-/// byte-equality tests compare against the batch path.
+/// Outcome of one Run(): the extracted matches, the merged marks, and
+/// the run's counters.
 struct OnlineResult {
   MatchSet matches;
   /// Marked ids in deterministic merge order, duplicates from
-  /// overlapping windows included — same layout as
-  /// PipelineResult::marked_ids.
+  /// overlapping windows included.
   std::vector<EventId> marked_ids;
   size_t marked_events = 0;  ///< deduplicated (== stats.events_relayed)
   /// OnlineConfig::collect_relayed: the deduplicated relayed events in
@@ -177,6 +176,9 @@ struct OnlineResult {
   std::vector<Event> relayed_events;
   std::vector<EventId> quarantined_ids;
   RuntimeStats stats;
+  /// The built-in extraction's engine counters (empty with
+  /// skip_extraction).
+  EngineStats cep_stats;
 
   double filtering_ratio() const {
     return stats.events_appended == 0
@@ -189,9 +191,8 @@ struct OnlineResult {
 class OnlineDlacep {
  public:
   /// `filter` is borrowed and must outlive the runtime; it may be a
-  /// trained network, a shedding baseline, the oracle, or pass-through
-  /// (anything the batch pipeline accepts). Count windows only, like
-  /// DlacepPipeline.
+  /// trained network, a shedding baseline, the oracle, or pass-through.
+  /// Count windows only.
   OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
                const OnlineConfig& config);
 

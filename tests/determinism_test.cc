@@ -104,25 +104,11 @@ TEST(Determinism, SavedFilterProducesIdenticalMarksAfterReload) {
   std::remove(path.c_str());
 }
 
-/// Non-owning view so one trained filter can serve several pipelines
-/// with different num_threads settings.
-class BorrowedFilter : public StreamFilter {
- public:
-  explicit BorrowedFilter(const StreamFilter* inner) : inner_(inner) {}
-  std::string name() const override { return inner_->name(); }
-  void MarkWindows(std::span<const WindowView> windows, InferenceContext* ctx,
-                   std::vector<int>* marks) const override {
-    inner_->MarkWindows(windows, ctx, marks);
-  }
-
- private:
-  const StreamFilter* inner_;
-};
-
-/// Parallel filtration must be byte-identical to the sequential path:
-/// same mark vector (merge order included), same dedup count, same
-/// filtering ratio, same matches.
-void ExpectThreadCountInvariance(FilterKind kind) {
+/// Evaluation must be byte-identical at every shard count
+/// (DlacepConfig::num_threads) and to the sequential reference: same
+/// mark vector (merge order included), same dedup count, same filtering
+/// ratio, same matches.
+void ExpectShardCountInvariance(FilterKind kind) {
   const EventStream train = SmallStream(800, 206);
   const EventStream test = SmallStream(400, 207);
   const Pattern pattern = TestPattern(train.schema_ptr());
@@ -134,20 +120,21 @@ void ExpectThreadCountInvariance(FilterKind kind) {
 
   BuiltDlacep built = BuildDlacep(pattern, train, kind, config);
 
-  auto evaluate = [&](size_t num_threads) {
-    DlacepConfig threaded = config;
-    threaded.num_threads = num_threads;
+  auto evaluate = [&](size_t shards) {
+    DlacepConfig sharded = config;
+    sharded.num_threads = shards;
     DlacepPipeline pipeline(
         pattern,
         std::make_unique<BorrowedFilter>(&built.pipeline->filter()),
-        threaded);
+        sharded);
     return pipeline.Evaluate(test);
   };
 
-  const PipelineResult sequential = evaluate(1);
-  for (const size_t num_threads : {size_t{2}, size_t{4}}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
-    const PipelineResult parallel = evaluate(num_threads);
+  const PipelineResult sequential = testing_util::ReferenceEvaluate(
+      pattern, built.pipeline->filter(), test);
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const PipelineResult parallel = evaluate(shards);
     EXPECT_EQ(parallel.marked_ids, sequential.marked_ids);
     EXPECT_EQ(parallel.marked_events, sequential.marked_events);
     EXPECT_DOUBLE_EQ(parallel.filtering_ratio(),
@@ -162,11 +149,11 @@ void ExpectThreadCountInvariance(FilterKind kind) {
 }
 
 TEST(Determinism, EventNetworkMarksAreThreadCountInvariant) {
-  ExpectThreadCountInvariance(FilterKind::kEventNetwork);
+  ExpectShardCountInvariance(FilterKind::kEventNetwork);
 }
 
 TEST(Determinism, WindowNetworkMarksAreThreadCountInvariant) {
-  ExpectThreadCountInvariance(FilterKind::kWindowNetwork);
+  ExpectShardCountInvariance(FilterKind::kWindowNetwork);
 }
 
 TEST(Determinism, RngStreamsAreStableAcrossInstances) {

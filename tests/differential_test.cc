@@ -2,10 +2,10 @@
 //
 //  * RELAY-ALL EQUIVALENCE — with a filter that relays every event
 //    (pass-through, i.e. threshold 0), the approximate pipeline must be
-//    exact: the batch DlacepPipeline and the online runtime both
-//    produce the identical match set to running the CEP engine over the
-//    raw stream, across seeds × window geometries × worker counts
-//    (batch filtration threads, online shards).
+//    exact: the sequential reference evaluator, DlacepPipeline and the
+//    online runtime all produce the identical match set to running the
+//    CEP engine over the raw stream, across seeds × window geometries ×
+//    shard counts (DlacepConfig::num_threads, OnlineConfig::num_shards).
 //
 //  * ACCOUNTING — relayed + filtered + dropped + quarantined ==
 //    ingested holds under lossless, dropping, and fault/quarantine
@@ -71,6 +71,9 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
     EXPECT_GT(exact.size(), 0u) << "seed " << seed << " finds no matches; "
                                 << "the differential would be vacuous";
     for (const Geometry& g : geometries) {
+      const PipelineResult reference = testing_util::ReferenceEvaluate(
+          pattern, PassThroughFilter(), stream, g.mark, g.step);
+      ExpectSameMatches(reference.matches, exact);
       for (size_t workers : {1u, 2u, 4u}) {
         DlacepConfig batch_config;
         batch_config.num_threads = workers;
@@ -82,6 +85,7 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
         const PipelineResult batch = pipeline.Evaluate(stream);
         ExpectSameMatches(batch.matches, exact);
         EXPECT_EQ(batch.marked_events, stream.size());
+        EXPECT_EQ(batch.marked_ids, reference.marked_ids);
 
         PassThroughFilter filter;
         OnlineConfig online_config;
@@ -93,7 +97,7 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
         ReplaySource source(&stream);
         const OnlineResult result = online.Run(&source);
         ExpectSameMatches(result.matches, exact);
-        EXPECT_EQ(result.marked_ids, batch.marked_ids)
+        EXPECT_EQ(result.marked_ids, reference.marked_ids)
             << "seed=" << seed << " mark=" << g.mark << " step=" << g.step
             << " workers=" << workers;
         EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();

@@ -233,8 +233,8 @@ TEST(Pipeline, FilteringRatioCountsRelayedBlanks) {
 // Regression: MultiPatternDlacep::Evaluate kept its own copy of the
 // filtration loop and took marked_events from the last pattern's
 // extractor.stats().events_processed — a count that drops blanks (and
-// depends on the pattern). It now shares the pipeline's filtration and
-// merge, so a relay-everything filter reports Ψ = 0 on a stream with
+// depends on the pattern). It now runs on the same runtime as the
+// pipeline, so a relay-everything filter reports Ψ = 0 on a stream with
 // blanks, exactly like the pipeline.
 TEST(MultiPattern, FilteringRatioCountsRelayedBlanks) {
   auto schema = MakeSyntheticSchema(3, 1);
@@ -308,8 +308,8 @@ TEST(Pipeline, MergeDedupsExtractorInputWithoutChangingResults) {
 }
 
 // Micro-batched filtration (config.batch_size > 1) must reproduce the
-// per-window path byte for byte, at every thread count: batch chunk
-// boundaries depend only on batch_size, never on the worker count.
+// sequential per-window reference byte for byte, at every shard count:
+// how the shards group windows into filter calls never changes a mark.
 TEST(Pipeline, BatchedEvaluateMatchesPerWindowAcrossThreads) {
   const EventStream train = SmallStream(600, 79);
   const EventStream test = SmallStream(400, 80);
@@ -319,20 +319,21 @@ TEST(Pipeline, BatchedEvaluateMatchesPerWindowAcrossThreads) {
   base.network.hidden_dim = 8;
   base.network.num_layers = 1;
   base.train.max_epochs = 2;
+  BuiltDlacep built =
+      BuildDlacep(pattern, train, FilterKind::kEventNetwork, base);
+  const PipelineResult ref = testing_util::ReferenceEvaluate(
+      pattern, built.pipeline->filter(), test);
 
-  auto run = [&](size_t batch_size, size_t threads) {
-    DlacepConfig config = base;  // seeded: retraining is deterministic
-    config.batch_size = batch_size;
-    config.num_threads = threads;
-    BuiltDlacep built =
-        BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
-    return built.pipeline->Evaluate(test);
-  };
-
-  const PipelineResult ref = run(1, 1);
   for (size_t threads : {1u, 4u}) {
-    for (size_t batch_size : {3u, 8u}) {
-      const PipelineResult got = run(batch_size, threads);
+    for (size_t batch_size : {1u, 3u, 8u}) {
+      DlacepConfig config = base;
+      config.batch_size = batch_size;
+      config.num_threads = threads;
+      DlacepPipeline pipeline(
+          pattern,
+          std::make_unique<BorrowedFilter>(&built.pipeline->filter()),
+          config);
+      const PipelineResult got = pipeline.Evaluate(test);
       EXPECT_EQ(got.marked_ids, ref.marked_ids)
           << "batch_size=" << batch_size << " threads=" << threads;
       EXPECT_EQ(got.marked_events, ref.marked_events)

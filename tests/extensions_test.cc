@@ -7,7 +7,6 @@
 #include "cep/oracle.h"
 #include "dlacep/assembler.h"
 #include "dlacep/drift.h"
-#include "dlacep/extractor.h"
 #include "dlacep/multi_pattern.h"
 #include "dlacep/padding.h"
 #include "dlacep/pipeline.h"
@@ -238,9 +237,9 @@ TEST(MultiPattern, SharedFilterServesBothPatternsWithoutFalsePositives) {
 }
 
 TEST(MultiPattern, FastPathEvaluateMatchesLegacyTapeMarking) {
-  // Evaluate marks through the pipeline's filtration stage (chunked
-  // MarkBatchWith calls); per-window Mark calls on the shared filter
-  // are the reference it must reproduce bit for bit, at any batch size.
+  // Evaluate marks through the online runtime (batched MarkBatchOnline
+  // calls); sequential per-window Mark calls on the shared filter are
+  // the reference it must reproduce bit for bit, at any batch size.
   const EventStream train = SmallStream(1200, 71);
   const EventStream test = SmallStream(500, 72);
   auto schema = train.schema_ptr();
@@ -259,30 +258,23 @@ TEST(MultiPattern, FastPathEvaluateMatchesLegacyTapeMarking) {
   config.train.max_epochs = 5;
   MultiPatternDlacep system(patterns, train, config);
 
-  const InputAssembler assembler(2 * system.max_window(),
-                                 system.max_window());
-  std::vector<const Event*> marked;
-  for (const WindowRange& range : assembler.Windows(test.size())) {
-    const std::vector<int> marks = system.filter()->Mark(test, range);
-    for (size_t t = 0; t < marks.size(); ++t) {
-      if (marks[t] != 0) marked.push_back(&test[range.begin + t]);
-    }
-  }
-  std::vector<MatchSet> reference(patterns.size());
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    CepExtractor extractor(patterns[p]);
-    ASSERT_TRUE(extractor.Extract(marked, &reference[p]).ok());
+  std::vector<PipelineResult> reference;
+  for (const Pattern& pattern : patterns) {
+    reference.push_back(testing_util::ReferenceEvaluate(
+        pattern, *system.filter(), test, 2 * system.max_window(),
+        system.max_window()));
   }
 
   for (const size_t batch : {1u, 4u}) {
     system.set_batch_size(batch);
     const MultiPatternResult result = system.Evaluate(test);
     ASSERT_EQ(result.per_pattern.size(), patterns.size());
+    EXPECT_EQ(result.marked_events, reference[0].marked_events);
     for (size_t p = 0; p < patterns.size(); ++p) {
-      EXPECT_EQ(result.per_pattern[p].size(), reference[p].size())
+      const MatchSet& want = reference[p].matches;
+      EXPECT_EQ(result.per_pattern[p].size(), want.size())
           << "batch=" << batch << " pattern=" << p;
-      EXPECT_EQ(result.per_pattern[p].IntersectionSize(reference[p]),
-                reference[p].size())
+      EXPECT_EQ(result.per_pattern[p].IntersectionSize(want), want.size())
           << "batch=" << batch << " pattern=" << p;
     }
   }

@@ -1,6 +1,6 @@
-// Online streaming runtime tests: the byte-equality contract between
-// OnlineDlacep and the batch DlacepPipeline at every shard count and
-// micro-batch size, bounded-queue accounting under overload (no
+// Online streaming runtime tests: byte-equality between OnlineDlacep
+// and the sequential reference evaluator (test_util.h ReferenceEvaluate)
+// at every shard count and micro-batch size, bounded-queue accounting under overload (no
 // deadlock, every ingested event is either relayed, filtered, or
 // dropped), overload controller escalation AND recovery, drift
 // flagging, source fidelity, and RingQueue unit behavior. The whole
@@ -193,8 +193,8 @@ TEST(LatencyHistogram, PercentileOfEmptyHistogramIsZero) {
 }
 
 // ---------------------------------------------------------------------
-// Byte-equality with the batch pipeline (the tentpole contract), at
-// every shard count.
+// Byte-equality with the sequential reference evaluator, at every shard
+// count.
 
 struct EqualityCase {
   const EventStream* stream;
@@ -207,7 +207,7 @@ struct EqualityCase {
 
 // Runs the online runtime at 1, 2, 4, and 8 shards and checks marks,
 // relayed-event counts, matches, accounting, and per-shard stats
-// aggregation against the batch pipeline result.
+// aggregation against the sequential reference result.
 void CheckOnlineMatchesBatch(const EqualityCase& c,
                              const PipelineResult& batch) {
   for (size_t shards : {1u, 2u, 4u, 8u}) {
@@ -249,14 +249,9 @@ void CheckOnlineMatchesBatch(const EqualityCase& c,
   }
 }
 
-PipelineResult BatchReference(const EqualityCase& c,
-                              std::unique_ptr<StreamFilter> filter) {
-  DlacepConfig config;
-  config.num_threads = 1;
-  config.mark_size = c.mark_size;
-  config.step_size = c.step_size;
-  DlacepPipeline pipeline(*c.pattern, std::move(filter), config);
-  return pipeline.Evaluate(*c.stream);
+PipelineResult BatchReference(const EqualityCase& c) {
+  return testing_util::ReferenceEvaluate(*c.pattern, *c.filter, *c.stream,
+                                         c.mark_size, c.step_size);
 }
 
 TEST(OnlineEquality, PassThroughFilter) {
@@ -264,8 +259,7 @@ TEST(OnlineEquality, PassThroughFilter) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 12);
   PassThroughFilter filter;
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(c,
-                          BatchReference(c, std::make_unique<PassThroughFilter>()));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(OnlineEquality, TypeSheddingFilter) {
@@ -273,8 +267,7 @@ TEST(OnlineEquality, TypeSheddingFilter) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 10);
   TypeSheddingFilter filter(pattern);
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<TypeSheddingFilter>(pattern)));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(OnlineEquality, RandomSheddingFilterKeepsWindowSalt) {
@@ -282,8 +275,7 @@ TEST(OnlineEquality, RandomSheddingFilterKeepsWindowSalt) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   RandomSheddingFilter filter(0.4, 99);
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<RandomSheddingFilter>(0.4, 99)));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(OnlineEquality, OracleFilter) {
@@ -291,8 +283,7 @@ TEST(OnlineEquality, OracleFilter) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   OracleFilter filter(pattern);
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<OracleFilter>(pattern)));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(OnlineEquality, TrainedEventNetworkFilter) {
@@ -306,11 +297,9 @@ TEST(OnlineEquality, TrainedEventNetworkFilter) {
   config.train.max_epochs = 2;
   BuiltDlacep built =
       BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
-  const PipelineResult batch = built.pipeline->Evaluate(test);
-
   // The pipeline owns the trained filter; borrow it for the online run.
   EqualityCase c{&test, &pattern, &built.pipeline->filter()};
-  CheckOnlineMatchesBatch(c, batch);
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(OnlineEquality, NonDefaultAssemblerGeometry) {
@@ -320,8 +309,7 @@ TEST(OnlineEquality, NonDefaultAssemblerGeometry) {
   // mark not a multiple of step, truncated tail windows.
   EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/11,
                  /*step_size=*/4};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(OnlineEquality, StreamShorterThanOneWindow) {
@@ -330,8 +318,7 @@ TEST(OnlineEquality, StreamShorterThanOneWindow) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 30);
   PassThroughFilter filter;
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(OnlineEquality, EmptyStream) {
@@ -386,8 +373,7 @@ TEST(ShardedEquality, PassThroughOnZipfStream) {
   const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
   PassThroughFilter filter;
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(ShardedEquality, TypeSheddingOnZipfStream) {
@@ -395,8 +381,7 @@ TEST(ShardedEquality, TypeSheddingOnZipfStream) {
   const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
   TypeSheddingFilter filter(pattern);
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<TypeSheddingFilter>(pattern)));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(ShardedEquality, RandomSheddingOnZipfStream) {
@@ -404,9 +389,7 @@ TEST(ShardedEquality, RandomSheddingOnZipfStream) {
   const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
   RandomSheddingFilter filter(0.5, 0x5eed);
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c,
-      BatchReference(c, std::make_unique<RandomSheddingFilter>(0.5, 0x5eed)));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(ShardedEquality, ContentFilterOnZipfStream) {
@@ -414,8 +397,7 @@ TEST(ShardedEquality, ContentFilterOnZipfStream) {
   const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
   VolGateFilter filter(20.0);
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<VolGateFilter>(20.0)));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(ShardedEquality, ShardLocalMicroBatchingPreservesOutput) {
@@ -426,8 +408,7 @@ TEST(ShardedEquality, ShardLocalMicroBatchingPreservesOutput) {
   VolGateFilter filter(20.0);
   EqualityCase c{&stream, &pattern, &filter};
   c.batch_size = 4;
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<VolGateFilter>(20.0)));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 TEST(ShardedEquality, NonDefaultGeometryAndSmallStream) {
@@ -436,15 +417,14 @@ TEST(ShardedEquality, NonDefaultGeometryAndSmallStream) {
   PassThroughFilter filter;
   EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/30,
                  /*step_size=*/10};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 // ---------------------------------------------------------------------
 // Micro-batched filtration (batch_size > 1): shard-side batching may
 // only change how many windows one filter call marks, never a window's
 // marks or its merge position, so every (shards × batch_size) cell must
-// stay byte-identical to the per-window batch pipeline.
+// stay byte-identical to the sequential per-window reference.
 
 void CheckOnlineBatchedMatchesBatch(EqualityCase c,
                                     const PipelineResult& batch) {
@@ -459,8 +439,7 @@ TEST(OnlineBatching, PassThroughFilterMatchesBatchPipeline) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 12);
   PassThroughFilter filter;
   EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineBatchedMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+  CheckOnlineBatchedMatchesBatch(c, BatchReference(c));
 }
 
 TEST(OnlineBatching, TrainedEventNetworkFilterMatchesBatchPipeline) {
@@ -474,10 +453,8 @@ TEST(OnlineBatching, TrainedEventNetworkFilterMatchesBatchPipeline) {
   config.train.max_epochs = 2;
   BuiltDlacep built =
       BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
-  const PipelineResult batch = built.pipeline->Evaluate(test);
-
   EqualityCase c{&test, &pattern, &built.pipeline->filter()};
-  CheckOnlineBatchedMatchesBatch(c, batch);
+  CheckOnlineBatchedMatchesBatch(c, BatchReference(c));
 }
 
 TEST(OnlineBatching, PartialBatchFlushesAtEndOfStream) {
@@ -490,8 +467,7 @@ TEST(OnlineBatching, PartialBatchFlushesAtEndOfStream) {
   EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/11,
                  /*step_size=*/4};
   c.batch_size = 1000;
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+  CheckOnlineMatchesBatch(c, BatchReference(c));
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "dlacep/assembler.h"
+#include "dlacep/extractor.h"
+#include "dlacep/filter.h"
+#include "dlacep/pipeline.h"
 #include "pattern/builder.h"
 #include "stream/generator.h"
 #include "stream/stocksim.h"
@@ -73,6 +77,44 @@ inline Pattern AscendingSeqPattern(std::shared_ptr<const Schema> schema,
                      var_name(i + 1));
   }
   return builder.BuildOrDie(std::move(root), WindowSpec::Count(window));
+}
+
+/// The filtration + extraction contract evaluated the plainest way, as
+/// an oracle independent of the runtime: sequential filter.Mark over
+/// each assembler window (geometry as in DlacepConfig, 0 = 2W / W),
+/// marks merged in window order, each marked position relayed once (by
+/// its first covering window), then one CepExtractor pass. Fills
+/// matches, marked_ids, marked_events, total_events and cep_stats.
+inline PipelineResult ReferenceEvaluate(const Pattern& pattern,
+                                        const StreamFilter& filter,
+                                        const EventStream& stream,
+                                        size_t mark_size = 0,
+                                        size_t step_size = 0) {
+  const InputAssembler assembler = InputAssembler::ForWindow(
+      pattern.window().count_size(), mark_size, step_size);
+  PipelineResult result;
+  result.total_events = stream.size();
+  std::vector<const Event*> relayed;
+  std::vector<bool> seen(stream.size(), false);
+  for (const WindowRange& range : assembler.Windows(stream.size())) {
+    const std::vector<int> marks = filter.Mark(stream, range);
+    for (size_t t = 0; t < marks.size(); ++t) {
+      if (marks[t] == 0) continue;
+      const size_t pos = range.begin + t;
+      result.marked_ids.push_back(stream[pos].id);
+      if (!seen[pos]) {
+        seen[pos] = true;
+        relayed.push_back(&stream[pos]);
+      }
+    }
+  }
+  result.marked_events = relayed.size();
+  CepExtractor extractor(pattern);
+  const Status status = extractor.Extract(std::move(relayed),
+                                          &result.matches);
+  DLACEP_CHECK_MSG(status.ok(), status.ToString());
+  result.cep_stats = extractor.stats();
+  return result;
 }
 
 }  // namespace testing_util

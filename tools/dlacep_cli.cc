@@ -7,14 +7,14 @@
 //       Evaluate a PQL query exactly and print matches + statistics.
 //   compare   --query Q --train F.csv --test G.csv
 //             [--filter event|window] [--hidden N] [--layers N]
-//             [--epochs N] [--num_threads N] [--shards N]
+//             [--epochs N] [--shards N] [--batch_size N]
 //             [--save model.bin | --load model.bin]
 //       Train (or load) a DLACEP filter on the training stream and
-//       compare DLACEP against exact CEP on the test stream.
-//       --num_threads sets the batch pipeline's filtration workers. With
-//       --shards N the trained filter additionally streams the test
-//       set through the online runtime and the match sets are
-//       cross-checked.
+//       compare DLACEP against exact CEP on the test stream. The test
+//       set replays through the online runtime, losslessly and with
+//       overload control off; --shards N (default 1, 0 = hardware
+//       concurrency) sets its shard count, and the result is
+//       byte-identical at any N. Count-window queries only.
 //   replay    --query Q --data F.csv [--filter KIND] [--rate R]
 //             [--queue_capacity N] [--shards N] [--drop 0|1]
 //       Stream a CSV through the online runtime (bounded ingest queue,
@@ -141,8 +141,7 @@ int Usage() {
                "  dlacep compare --query Q --train F.csv --test G.csv\n"
                "       [--filter event|window] [--hidden N] [--layers N]"
                " [--epochs N]\n"
-               "       [--threshold P] [--num_threads N] [--batch_size N]"
-               " [--shards N]\n"
+               "       [--threshold P] [--shards N] [--batch_size N]\n"
                "       [--save model.bin | --load model.bin]\n"
                "  dlacep replay --query Q --data F.csv [--filter KIND]\n"
                "       [--rate EV_PER_SEC] [--queue_capacity N]"
@@ -270,6 +269,20 @@ int RunQuery(const Args& args) {
 int CompareMulti(const Args& args, const EventStream& train,
                  const EventStream& test);
 
+/// Training and evaluation knobs shared by compare and the learned
+/// online filters. --shards is the evaluation's shard count.
+DlacepConfig MakeTrainConfig(const Args& args) {
+  DlacepConfig config;
+  config.network.hidden_dim = static_cast<size_t>(args.GetInt("hidden", 12));
+  config.network.num_layers = static_cast<size_t>(args.GetInt("layers", 1));
+  config.train.max_epochs = static_cast<size_t>(args.GetInt("epochs", 30));
+  config.event_threshold = args.GetDouble("threshold", 0.35);
+  config.window_threshold = config.event_threshold;
+  config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
+  config.num_threads = static_cast<size_t>(args.GetInt("shards", 1));
+  return config;
+}
+
 int Compare(const Args& args) {
   auto train = LoadStream(args.Get("train"));
   auto test = LoadStream(args.Get("test"));
@@ -285,18 +298,15 @@ int Compare(const Args& args) {
     std::fprintf(stderr, "%s\n", pattern.status().ToString().c_str());
     return 1;
   }
+  // Before training: evaluation runs on the online runtime, which only
+  // assembles count windows.
+  const Status online_ok = OnlineDlacep::ValidateForOnline(pattern.value());
+  if (!online_ok.ok()) {
+    std::fprintf(stderr, "%s\n", online_ok.ToString().c_str());
+    return 1;
+  }
 
-  DlacepConfig config;
-  config.network.hidden_dim =
-      static_cast<size_t>(args.GetInt("hidden", 12));
-  config.network.num_layers =
-      static_cast<size_t>(args.GetInt("layers", 1));
-  config.train.max_epochs =
-      static_cast<size_t>(args.GetInt("epochs", 30));
-  config.event_threshold = args.GetDouble("threshold", 0.35);
-  config.window_threshold = config.event_threshold;
-  config.num_threads = static_cast<size_t>(args.GetInt("num_threads", 1));
-  config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
+  const DlacepConfig config = MakeTrainConfig(args);
   const FilterKind kind = args.Get("filter", "event") == "window"
                               ? FilterKind::kWindowNetwork
                               : FilterKind::kEventNetwork;
@@ -340,40 +350,6 @@ int Compare(const Args& args) {
               result.dlacep.filtering_ratio() * 100);
   std::printf("throughput gain : %.2fx\n", result.throughput_gain());
 
-  // --shards N: stream the test set through the sharded online runtime
-  // with the same trained filter and cross-check it against the batch
-  // matches — the byte-equality contract, exercised end to end from the
-  // CLI.
-  const long shards = args.GetInt("shards", 0);
-  if (shards > 0) {
-    const Status online_ok = OnlineDlacep::ValidateForOnline(pattern.value());
-    if (!online_ok.ok()) {
-      std::fprintf(stderr, "--shards: %s\n", online_ok.ToString().c_str());
-      return 1;
-    }
-    OnlineConfig online_config;
-    online_config.num_shards = static_cast<size_t>(shards);
-    online_config.batch_size = config.batch_size;
-    online_config.overload.enabled = false;  // lossless, like the batch run
-    OnlineDlacep online(pattern.value(), &built.pipeline->filter(),
-                        online_config);
-    ReplaySource source(&test.value());
-    const OnlineResult streamed = online.Run(&source);
-    const bool identical =
-        streamed.matches.size() == result.dlacep.matches.size() &&
-        streamed.matches.IntersectionSize(result.dlacep.matches) ==
-            result.dlacep.matches.size();
-    std::printf("\nsharded replay  : %ld shards\n", shards);
-    std::printf("  events/sec    : %.0f\n",
-                streamed.stats.elapsed_seconds > 0
-                    ? static_cast<double>(test.value().size()) /
-                          streamed.stats.elapsed_seconds
-                    : 0.0);
-    std::printf("  accounted     : %s\n",
-                streamed.stats.Accounted() ? "yes" : "NO");
-    std::printf("  matches equal : %s\n", identical ? "yes" : "NO");
-    if (!identical || !streamed.stats.Accounted()) return 1;
-  }
   return 0;
 }
 
@@ -410,15 +386,7 @@ StatusOr<OnlineFilter> MakeOnlineFilter(const Args& args,
           "--filter " + kind + " needs --train F.csv (" +
           train.status().ToString() + ")");
     }
-    DlacepConfig config;
-    config.network.hidden_dim =
-        static_cast<size_t>(args.GetInt("hidden", 12));
-    config.network.num_layers =
-        static_cast<size_t>(args.GetInt("layers", 1));
-    config.train.max_epochs =
-        static_cast<size_t>(args.GetInt("epochs", 30));
-    config.event_threshold = args.GetDouble("threshold", 0.35);
-    config.window_threshold = config.event_threshold;
+    const DlacepConfig config = MakeTrainConfig(args);
     std::printf("training %s filter on %zu events...\n", kind.c_str(),
                 train.value().size());
     out.built = std::make_unique<BuiltDlacep>(
@@ -613,17 +581,6 @@ StatusOr<std::vector<Pattern>> ParseQueries(
     patterns.push_back(std::move(pattern.value()));
   }
   return patterns;
-}
-
-DlacepConfig MakeTrainConfig(const Args& args) {
-  DlacepConfig config;
-  config.network.hidden_dim = static_cast<size_t>(args.GetInt("hidden", 12));
-  config.network.num_layers = static_cast<size_t>(args.GetInt("layers", 1));
-  config.train.max_epochs = static_cast<size_t>(args.GetInt("epochs", 30));
-  config.event_threshold = args.GetDouble("threshold", 0.35);
-  config.window_threshold = config.event_threshold;
-  config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
-  return config;
 }
 
 void PrintSharing(const serve::SharingStats& sharing) {
@@ -1069,8 +1026,7 @@ int Main(int argc, char** argv) {
   const std::string command = argv[1];
   if (command == "generate") return Generate(args);
   if (command == "run") return RunQuery(args);
-  if (command == "compare") return Compare(args);
-  if (command == "replay" || command == "serve") {
+  if (command == "compare" || command == "replay" || command == "serve") {
     // Args ignores unknown flags, so a flag the online runtime no longer
     // has would otherwise be dropped without a word.
     for (const char* removed : {"num_threads", "batch_timeout_ms"}) {
@@ -1083,6 +1039,7 @@ int Main(int argc, char** argv) {
       }
     }
   }
+  if (command == "compare") return Compare(args);
   if (command == "replay") return Replay(args);
   if (command == "serve") return Serve(args);
   return Usage();
