@@ -58,19 +58,32 @@ void BM_NfaPatternLengthScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_NfaPatternLengthScaling)->Arg(4)->Arg(5)->Arg(6);
 
+// Also the per-engine cost row: ns_per_work_unit is the engine's own
+// Evaluate time over its work units (transitions + partial matches, the
+// unit the adaptive selector's cost model counts), so the ratios between
+// the three rows are what kLazySurcharge / kTreeSurcharge stand for.
 void BM_EngineComparison(benchmark::State& state) {
   const EventStream& stream = SharedStream();
   const EngineKind kind = static_cast<EngineKind>(state.range(0));
   const Pattern pattern = QBOfLength(stream.schema_ptr(), 5, 60, 0.6, 1.6);
+  double seconds = 0.0;
+  double work_units = 0.0;
   for (auto _ : state) {
     auto engine = CreateEngine(kind, pattern);
     MatchSet out;
     benchmark::DoNotOptimize(
         engine.value()->Evaluate({stream.events().data(), stream.size()},
                                  &out));
+    const EngineStats& stats = engine.value()->stats();
+    seconds += stats.elapsed_seconds;
+    work_units += static_cast<double>(stats.transitions + stats.partial_matches);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(stream.size()));
+  state.counters["work_units"] =
+      work_units / static_cast<double>(state.iterations());
+  state.counters["ns_per_work_unit"] =
+      work_units > 0.0 ? 1e9 * seconds / work_units : 0.0;
   state.SetLabel(EngineKindName(kind));
 }
 BENCHMARK(BM_EngineComparison)

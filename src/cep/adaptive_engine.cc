@@ -14,7 +14,12 @@ namespace {
 // the tree additionally materializes intermediate join items. On a
 // uniform stream (where ordering buys nothing) they make the NFA the
 // stable default; under skew the reordered prefix products dominate
-// them by orders of magnitude.
+// them by orders of magnitude. They are tie-breaks, not measured prices:
+// bench_micro_engines' ns_per_work_unit row puts lazy near 0.2x and the
+// tree near 0.05x the NFA per work unit, but the tree does ~25x the
+// NFA's units on that span, which this model does not predict, and a
+// lazy factor below the hysteresis would move a stream on which
+// ordering buys nothing off the NFA.
 constexpr double kLazySurcharge = 1.15;
 constexpr double kTreeSurcharge = 1.35;
 

@@ -175,23 +175,7 @@ class LazySearch {
       }
       binding_.Bind(pos.var, e);
       bound_[p] = e;
-      bool pass = true;
-      for (const Condition* condition : plan_.pos_conditions) {
-        bool references = false;
-        for (VarId v : condition->Vars()) {
-          if (v == pos.var) {
-            references = true;
-            break;
-          }
-        }
-        if (!references) continue;
-        if (!ReadyForPruningEval(*condition, binding_, pattern_)) continue;
-        if (!condition->Eval(binding_)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
+      if (PassesPruning(plan_, binding_, pos.var)) {
         ++stats_->partial_matches;  // a surviving search node
         if (!budget_->OnPartialMatch()) return;
         Rec(order_index + 1);

@@ -1,6 +1,7 @@
 #include "cep/nfa_engine.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace dlacep {
 
@@ -14,23 +15,6 @@ StatusOr<std::unique_ptr<NfaEngine>> NfaEngine::Create(
   if (!plans.ok()) return plans.status();
   engine->plans_ = std::move(plans).value();
   return engine;
-}
-
-bool NfaEngine::PassesPruning(const LinearPlan& plan, const Binding& binding,
-                              VarId var) const {
-  for (const Condition* condition : plan.pos_conditions) {
-    bool references = false;
-    for (VarId v : condition->Vars()) {
-      if (v == var) {
-        references = true;
-        break;
-      }
-    }
-    if (!references) continue;
-    if (!ReadyForPruningEval(*condition, binding, pattern_)) continue;
-    if (!condition->Eval(binding)) return false;
-  }
-  return true;
 }
 
 void NfaEngine::MaybeEmit(const LinearPlan& plan, const PartialMatch& pm,
@@ -64,6 +48,9 @@ void NfaEngine::EvaluatePlan(const LinearPlan& plan,
   const WindowSpec& window = pattern_.window();
 
   std::vector<PartialMatch> storage;
+  // Extensions created by the current event, kept apart from `storage`
+  // until the event is done; reused across events.
+  std::vector<PartialMatch> created;
 
   for (const Event& e : events) {
     if (e.is_blank()) continue;
@@ -80,7 +67,13 @@ void NfaEngine::EvaluatePlan(const LinearPlan& plan,
     };
 
     const size_t stored_before = storage.size();
-    std::vector<PartialMatch> created;
+    created.clear();
+    // Positions accepting `e`'s type, resolved once per event instead of
+    // once per stored prefix.
+    uint64_t accepting = 0;
+    for (size_t p = 0; p < n; ++p) {
+      if (plan.positions[p].Matches(e.type)) accepting |= uint64_t{1} << p;
+    }
 
     auto try_store = [&](PartialMatch&& pm) {
       ++stats_.partial_matches;
@@ -93,6 +86,26 @@ void NfaEngine::EvaluatePlan(const LinearPlan& plan,
       created.push_back(std::move(pm));
     };
 
+    // One transition: binds `e` to `var` in the stored prefix itself,
+    // prunes, and stores a copy (with the new mask and repetition count)
+    // only when the extension survives, so a pruned candidate costs no
+    // copy. Every transition either prunes or reaches try_store, so
+    // across a run transitions == partial_matches + partial_matches_pruned.
+    auto extend = [&](PartialMatch& pm, VarId var, uint64_t mask,
+                      uint32_t reps) {
+      ++stats_.transitions;
+      pm.binding.Bind(var, &e);
+      if (PassesPruning(plan, pm.binding, var)) {
+        PartialMatch next = pm;
+        next.mask = mask;
+        next.reps = reps;
+        try_store(std::move(next));
+      } else {
+        ++stats_.partial_matches_pruned;
+      }
+      pm.binding.Unbind(var);
+    };
+
     // Extend every live stored prefix (skip-till-any-match keeps the
     // original stored), compacting expired prefixes away in the same
     // pass. Only prefixes created before this event are candidates;
@@ -102,27 +115,16 @@ void NfaEngine::EvaluatePlan(const LinearPlan& plan,
       if (!budget->OnWork()) return;
       if (is_expired(storage[s])) continue;
       if (write != s) storage[write] = std::move(storage[s]);
-      const PartialMatch& pm = storage[write];
+      PartialMatch& pm = storage[write];
       ++write;
-      for (size_t p = 0; p < n; ++p) {
+      for (uint64_t left = accepting; left != 0; left &= left - 1) {
+        const size_t p = static_cast<size_t>(std::countr_zero(left));
         const PlanPosition& pos = plan.positions[p];
-        if (!pos.Matches(e.type)) continue;
         const bool filled = (pm.mask >> p) & 1;
         if (!filled) {
           // Fill a fresh position: all predecessors must be filled.
           if ((plan.preds[p] & pm.mask) != plan.preds[p]) continue;
-          PartialMatch next = pm;
-          next.mask |= uint64_t{1} << p;
-          next.binding.Bind(pos.var, &e);
-          // Every candidate below counts as one transition and either
-          // prunes or reaches try_store, so across a run
-          // transitions == partial_matches + partial_matches_pruned.
-          ++stats_.transitions;
-          if (!PassesPruning(plan, next.binding, pos.var)) {
-            ++stats_.partial_matches_pruned;
-            continue;
-          }
-          try_store(std::move(next));
+          extend(pm, pos.var, pm.mask | (uint64_t{1} << p), pm.reps);
         } else if (pos.kleene) {
           // Absorb another event into a Kleene position, allowed only
           // while no successor position has been filled yet.
@@ -136,39 +138,23 @@ void NfaEngine::EvaluatePlan(const LinearPlan& plan,
             }
           }
           if (successor_filled) continue;
-          PartialMatch next = pm;
-          next.binding.Bind(pos.var, &e);
-          ++stats_.transitions;
-          if (!PassesPruning(plan, next.binding, pos.var)) {
-            ++stats_.partial_matches_pruned;
-            continue;
-          }
-          try_store(std::move(next));
+          extend(pm, pos.var, pm.mask, pm.reps);
         }
       }
       // Group repetition: a complete prefix may loop back to position 0.
       if (plan.group_repeat && pm.mask == full_mask_ &&
-          pm.reps + 1 < plan.group_max_reps &&
-          plan.positions[0].Matches(e.type)) {
-        PartialMatch next = pm;
-        next.mask = uint64_t{1} << 0;
-        next.reps = pm.reps + 1;
-        next.binding.Bind(plan.positions[0].var, &e);
-        ++stats_.transitions;
-        if (PassesPruning(plan, next.binding, plan.positions[0].var)) {
-          try_store(std::move(next));
-        } else {
-          ++stats_.partial_matches_pruned;
-        }
+          pm.reps + 1 < plan.group_max_reps && (accepting & 1) != 0) {
+        extend(pm, plan.positions[0].var, uint64_t{1} << 0, pm.reps + 1);
       }
     }
 
     storage.resize(write);
 
     // Start fresh prefixes at positions with no predecessors.
-    for (size_t p = 0; p < n; ++p) {
+    for (uint64_t left = accepting; left != 0; left &= left - 1) {
+      const size_t p = static_cast<size_t>(std::countr_zero(left));
       const PlanPosition& pos = plan.positions[p];
-      if (!pos.Matches(e.type) || plan.preds[p] != 0) continue;
+      if (plan.preds[p] != 0) continue;
       PartialMatch pm;
       pm.mask = uint64_t{1} << p;
       pm.binding = Binding(pattern_.num_vars());

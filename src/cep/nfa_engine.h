@@ -47,11 +47,6 @@ class NfaEngine : public CepEngine {
   void EvaluatePlan(const LinearPlan& plan, std::span<const Event> events,
                     MatchSet* out, EngineBudget* budget);
 
-  /// Prunes conditions made checkable by binding `var`; returns false
-  /// when the candidate partial match is contradicted.
-  bool PassesPruning(const LinearPlan& plan, const Binding& binding,
-                     VarId var) const;
-
   /// Emits the match if the partial match is complete and valid.
   void MaybeEmit(const LinearPlan& plan, const PartialMatch& pm,
                  std::span<const Event> events, MatchSet* out);

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "dlacep/event_filter.h"
 #include "dlacep/oracle_filter.h"
 #include "dlacep/window_filter.h"
@@ -25,8 +24,6 @@ OnlineConfig ReplayConfig(const DlacepConfig& config) {
   OnlineConfig online;
   online.num_shards = config.num_threads;
   online.batch_size = std::max<size_t>(config.batch_size, 1);
-  online.max_windows_in_flight =
-      2 * ResolveNumThreads(config.num_threads) * online.batch_size + 2;
   online.mark_size = config.mark_size;
   online.step_size = config.step_size;
   online.overload.enabled = false;

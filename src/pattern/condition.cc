@@ -8,6 +8,31 @@
 
 namespace dlacep {
 
+void EventList::Grow() {
+  const uint32_t capacity = 2 * capacity_;
+  const Event** heap = new const Event*[capacity];
+  const Event* const* from = data();
+  for (uint32_t i = 0; i < size_; ++i) heap[i] = from[i];
+  Release();
+  heap_ = heap;
+  capacity_ = capacity;
+}
+
+void EventList::CopyFrom(const EventList& other) {
+  if (other.size_ <= kInlineCapacity) {
+    Release();  // short lists always live inline
+  } else if (other.size_ > capacity_) {
+    const Event** heap = new const Event*[other.size_];
+    Release();
+    heap_ = heap;
+    capacity_ = other.size_;
+  }
+  const Event* const* from = other.data();
+  const Event** to = mutable_data();
+  for (uint32_t i = 0; i < other.size_; ++i) to[i] = from[i];
+  size_ = other.size_;
+}
+
 std::vector<const Event*> Binding::AllEvents() const {
   std::vector<const Event*> out;
   for (const auto& slot : slots) {

@@ -33,11 +33,92 @@ namespace dlacep {
 /// Index of a pattern variable (position in Pattern::vars()).
 using VarId = int32_t;
 
+/// The events bound to one variable. A list of up to kInlineCapacity
+/// events lives inline; only a longer (Kleene) list spills to the heap,
+/// and it returns inline as soon as pop_back or a copy makes it short
+/// again (spilled() iff size() > kInlineCapacity). Copying the slot of a
+/// non-Kleene variable therefore never allocates, which keeps the
+/// engines' partial-match copies cheap. 24 bytes, like the std::vector it
+/// replaces, so partial-match storage does not grow.
+class EventList {
+ public:
+  static constexpr uint32_t kInlineCapacity = 2;
+
+  EventList() = default;
+  EventList(const EventList& other) { CopyFrom(other); }
+  EventList(EventList&& other) noexcept { StealFrom(&other); }
+  EventList& operator=(const EventList& other) {
+    if (this != &other) CopyFrom(other);
+    return *this;
+  }
+  EventList& operator=(EventList&& other) noexcept {
+    if (this != &other) {
+      Release();
+      StealFrom(&other);
+    }
+    return *this;
+  }
+  ~EventList() { Release(); }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// True while the events live in heap storage.
+  bool spilled() const { return capacity_ > kInlineCapacity; }
+  const Event* const* begin() const { return data(); }
+  const Event* const* end() const { return data() + size_; }
+  const Event* operator[](size_t i) const { return data()[i]; }
+  const Event* front() const { return data()[0]; }
+  const Event* back() const { return data()[size_ - 1]; }
+
+  void push_back(const Event* e) {
+    if (size_ == capacity_) Grow();
+    mutable_data()[size_++] = e;
+  }
+  void pop_back() {
+    --size_;
+    if (spilled() && size_ <= kInlineCapacity) {
+      const Event** heap = heap_;
+      for (uint32_t i = 0; i < size_; ++i) inline_[i] = heap[i];
+      delete[] heap;
+      capacity_ = kInlineCapacity;
+    }
+  }
+
+ private:
+  const Event* const* data() const { return spilled() ? heap_ : inline_; }
+  const Event** mutable_data() { return spilled() ? heap_ : inline_; }
+  void Grow();
+  void CopyFrom(const EventList& other);
+  void StealFrom(EventList* other) {
+    size_ = other->size_;
+    capacity_ = other->capacity_;
+    if (other->spilled()) {
+      heap_ = other->heap_;
+    } else {
+      for (uint32_t i = 0; i < size_; ++i) inline_[i] = other->inline_[i];
+    }
+    other->size_ = 0;
+    other->capacity_ = kInlineCapacity;
+  }
+  void Release() {
+    if (spilled()) delete[] heap_;
+    capacity_ = kInlineCapacity;
+  }
+
+  union {
+    const Event* inline_[kInlineCapacity] = {};
+    const Event** heap_;
+  };
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInlineCapacity;
+};
+static_assert(sizeof(EventList) == 24, "a slot stays the size of a vector");
+
 /// A (possibly partial) assignment of stream events to pattern variables.
 /// slots[v] is empty when variable v is unbound; non-KC variables bind
 /// exactly one event, KC variables bind one event per absorbed repetition.
 struct Binding {
-  std::vector<std::vector<const Event*>> slots;
+  std::vector<EventList> slots;
 
   explicit Binding(size_t num_vars = 0) : slots(num_vars) {}
 
@@ -45,7 +126,7 @@ struct Binding {
     return v >= 0 && static_cast<size_t>(v) < slots.size() &&
            !slots[static_cast<size_t>(v)].empty();
   }
-  const std::vector<const Event*>& Of(VarId v) const {
+  const EventList& Of(VarId v) const {
     DLACEP_CHECK(IsBound(v));
     return slots[static_cast<size_t>(v)];
   }

@@ -135,7 +135,21 @@ Status CompileBranch(const PatternNode& node, const Pattern& pattern,
   }
 }
 
-// Splits the pattern's conditions between positive and negation sets.
+CompiledCondition CompileCondition(const Condition& condition,
+                                   const Pattern& pattern) {
+  CompiledCondition check;
+  check.condition = &condition;
+  check.vars = condition.Vars();
+  for (VarId v : check.vars) {
+    if (pattern.vars()[static_cast<size_t>(v)].kleene) {
+      check.kleene_vars.push_back(v);
+    }
+  }
+  return check;
+}
+
+// Splits the pattern's conditions between positive and negation sets and
+// builds the positive conditions' pruning index.
 void AttachConditions(const Pattern& pattern, LinearPlan* plan) {
   // Only consider conditions whose variables all appear in this plan
   // (relevant for DISJ: each branch sees its own variables).
@@ -162,9 +176,16 @@ void AttachConditions(const Pattern& pattern, LinearPlan* plan) {
     }
     if (!relevant) continue;
     if (references_negated) {
-      plan->neg_conditions.push_back(condition.get());
+      plan->neg_conditions.push_back(CompileCondition(*condition, pattern));
     } else {
       plan->pos_conditions.push_back(condition.get());
+    }
+  }
+  plan->pruning_index.assign(pattern.num_vars(), {});
+  for (const Condition* condition : plan->pos_conditions) {
+    const CompiledCondition check = CompileCondition(*condition, pattern);
+    for (VarId v : check.vars) {
+      plan->pruning_index[static_cast<size_t>(v)].push_back(check);
     }
   }
 }
@@ -191,18 +212,24 @@ StatusOr<std::vector<LinearPlan>> CompilePlans(const Pattern& pattern) {
   return plans;
 }
 
-bool ReadyForPruningEval(const Condition& condition, const Binding& binding,
-                         const Pattern& pattern) {
-  size_t kleene_len = 0;
-  size_t num_kleene = 0;
-  for (VarId v : condition.Vars()) {
-    if (!binding.IsBound(v)) return false;
-    if (pattern.vars()[static_cast<size_t>(v)].kleene) {
-      const size_t len = binding.Of(v).size();
-      if (num_kleene > 0 && len != kleene_len) return false;
-      kleene_len = len;
-      ++num_kleene;
+bool ReadyForPruningEval(const CompiledCondition& check,
+                         const Binding& binding) {
+  if (!check.AllBound(binding)) return false;
+  for (size_t i = 1; i < check.kleene_vars.size(); ++i) {
+    if (binding.Of(check.kleene_vars[i]).size() !=
+        binding.Of(check.kleene_vars[0]).size()) {
+      return false;
     }
+  }
+  return true;
+}
+
+bool PassesPruning(const LinearPlan& plan, const Binding& binding,
+                   VarId var) {
+  for (const CompiledCondition& check :
+       plan.pruning_index[static_cast<size_t>(var)]) {
+    if (!ReadyForPruningEval(check, binding)) continue;
+    if (!check.condition->Eval(binding)) return false;
   }
   return true;
 }
@@ -216,9 +243,9 @@ bool FindNegOccurrence(const LinearPlan& plan, const NegSubPattern& neg,
                        size_t index, EventId prev_id, EventId hi_id,
                        std::span<const Event> span, Binding* binding) {
   if (index == neg.positions.size()) {
-    for (const Condition* condition : plan.neg_conditions) {
-      if (!condition->CanEval(*binding)) continue;
-      if (!condition->Eval(*binding)) return false;
+    for (const CompiledCondition& check : plan.neg_conditions) {
+      if (!check.AllBound(*binding)) continue;
+      if (!check.condition->Eval(*binding)) return false;
     }
     return true;
   }

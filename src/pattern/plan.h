@@ -52,6 +52,23 @@ struct NegSubPattern {
   int before_pos = -1;
 };
 
+/// A condition prepared for the evaluation loop: its variable list, and
+/// the Kleene-list subset of it, resolved once when the plan is compiled
+/// so that no engine calls Condition::Vars() while evaluating.
+struct CompiledCondition {
+  const Condition* condition = nullptr;
+  std::vector<VarId> vars;         ///< condition->Vars()
+  std::vector<VarId> kleene_vars;  ///< the vars bound as Kleene lists
+
+  /// True when every referenced variable is bound (Condition::CanEval).
+  bool AllBound(const Binding& binding) const {
+    for (VarId v : vars) {
+      if (!binding.IsBound(v)) return false;
+    }
+    return true;
+  }
+};
+
 /// A compiled, engine-consumable plan.
 struct LinearPlan {
   std::vector<PlanPosition> positions;
@@ -70,8 +87,12 @@ struct LinearPlan {
 
   /// Conditions over positive variables only (owned by the Pattern).
   std::vector<const Condition*> pos_conditions;
+  /// The pruning index: pruning_index[v] holds, in pos_conditions order,
+  /// the positive conditions whose Vars() contain variable v — the checks
+  /// that binding v may newly enable. One entry per pattern variable.
+  std::vector<std::vector<CompiledCondition>> pruning_index;
   /// Conditions referencing at least one negated variable.
-  std::vector<const Condition*> neg_conditions;
+  std::vector<CompiledCondition> neg_conditions;
 
   const Pattern* pattern = nullptr;  ///< non-owning source pattern
 
@@ -88,8 +109,14 @@ StatusOr<std::vector<LinearPlan>> CompilePlans(const Pattern& pattern);
 /// variables are Kleene lists, their lengths agree (aligned prefixes).
 /// Pruning on unequal-length lists could reject bindings that become
 /// valid once the shorter list catches up.
-bool ReadyForPruningEval(const Condition& condition, const Binding& binding,
-                         const Pattern& pattern);
+bool ReadyForPruningEval(const CompiledCondition& check,
+                         const Binding& binding);
+
+/// The engines' pruning step after binding `var`: evaluates every
+/// positive condition of `plan` that references `var` and is ready for
+/// pruning. False when one of them fails (the candidate is contradicted).
+bool PassesPruning(const LinearPlan& plan, const Binding& binding,
+                   VarId var);
 
 /// Checks whether `binding` (a complete assignment of the plan's positive
 /// positions) is invalidated by any negated sub-pattern occurring in

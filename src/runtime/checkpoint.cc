@@ -61,6 +61,7 @@ class Reader {
 
   bool Read(void* out, size_t n) {
     if (n > len_ - pos_) return false;
+    if (n == 0) return true;  // `out` may be an empty vector's null data()
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;

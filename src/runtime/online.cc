@@ -167,9 +167,12 @@ OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
   for (size_t i = 0; i < num_shards_; ++i) {
     contexts_.push_back(std::make_unique<InferenceContext>());
   }
+  // Deep enough for every shard to hold two full micro-batches, so a
+  // busy shard's backlog can form batches of batch_size.
+  const size_t batch = std::max<size_t>(config_.batch_size, 1);
   max_in_flight_ = config_.max_windows_in_flight != 0
                        ? config_.max_windows_in_flight
-                       : 2 * num_shards_ + 2;
+                       : 2 * num_shards_ * batch + 2;
 }
 
 void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {

@@ -106,7 +106,8 @@ struct OnlineConfig {
   size_t num_shards = 1;
 
   /// Windows dispatched but not yet merged before the router stops
-  /// popping events. 0 = 2·num_shards + 2.
+  /// popping events. 0 = 2·num_shards·batch_size + 2: two full
+  /// micro-batches per shard, so batch_size bounds real batches.
   size_t max_windows_in_flight = 0;
 
   /// Assembler geometry, as in DlacepConfig (0 = paper defaults 2W/W).

@@ -1,7 +1,10 @@
 // Unit tests for conditions: terms, comparison semantics, composition,
-// Kleene-list evaluation rules (aligned vs universal), and CanEval.
+// Kleene-list evaluation rules (aligned vs universal), CanEval, and the
+// inline binding slots (EventList) bindings are made of.
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "pattern/condition.h"
 
@@ -184,6 +187,112 @@ TEST(Binding, AllEventsSortsAndDeduplicates) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0]->id, 2u);
   EXPECT_EQ(events[1]->id, 5u);
+}
+
+TEST(EventList, SpillsPastInlineCapacityAndPopsBackInline) {
+  const Event e0 = MakeEvent(0, 0, 1.0);
+  const Event e1 = MakeEvent(1, 0, 2.0);
+  const Event e2 = MakeEvent(2, 0, 3.0);
+  const Event e3 = MakeEvent(3, 0, 4.0);
+  ASSERT_EQ(EventList::kInlineCapacity, 2u);
+  EventList list;
+  EXPECT_TRUE(list.empty());
+  list.push_back(&e0);
+  list.push_back(&e1);
+  EXPECT_FALSE(list.spilled());
+  list.push_back(&e2);  // past the inline capacity
+  EXPECT_TRUE(list.spilled());
+  list.push_back(&e3);
+  ASSERT_EQ(list.size(), 4u);
+  EXPECT_EQ(list.front(), &e0);
+  EXPECT_EQ(list.back(), &e3);
+  EXPECT_EQ(list[2], &e2);
+  EXPECT_EQ(std::vector<const Event*>(list.begin(), list.end()),
+            (std::vector<const Event*>{&e0, &e1, &e2, &e3}));
+
+  list.pop_back();
+  EXPECT_TRUE(list.spilled());  // 3 events still need the heap
+  list.pop_back();
+  EXPECT_FALSE(list.spilled());  // back into inline storage
+  EXPECT_EQ(std::vector<const Event*>(list.begin(), list.end()),
+            (std::vector<const Event*>{&e0, &e1}));
+  list.pop_back();
+  list.pop_back();
+  EXPECT_TRUE(list.empty());
+  list.push_back(&e3);  // reusable after emptying
+  EXPECT_EQ(list.back(), &e3);
+}
+
+TEST(EventList, CopyAndMoveInBothStates) {
+  const Event e0 = MakeEvent(0, 0, 1.0);
+  const Event e1 = MakeEvent(1, 0, 2.0);
+  const Event e2 = MakeEvent(2, 0, 3.0);
+  auto events = [](const EventList& list) {
+    return std::vector<const Event*>(list.begin(), list.end());
+  };
+  EventList short_list;
+  short_list.push_back(&e0);
+  EventList long_list;
+  for (const Event* e : {&e0, &e1, &e2}) long_list.push_back(e);
+  const std::vector<const Event*> short_events{&e0};
+  const std::vector<const Event*> long_events{&e0, &e1, &e2};
+
+  // Copies are deep: changing the copy leaves the source alone.
+  EventList short_copy(short_list);
+  EventList long_copy(long_list);
+  EXPECT_FALSE(short_copy.spilled());
+  EXPECT_TRUE(long_copy.spilled());
+  EXPECT_NE(long_copy.begin(), long_list.begin());
+  short_copy.push_back(&e2);
+  long_copy.pop_back();
+  EXPECT_EQ(events(short_list), short_events);
+  EXPECT_EQ(events(long_list), long_events);
+  EXPECT_FALSE(long_copy.spilled());  // a copy popped to 2 is inline
+
+  // Copy assignment across states: inline <- spilled, spilled <- inline.
+  EventList target;
+  target = long_list;
+  EXPECT_TRUE(target.spilled());
+  EXPECT_EQ(events(target), long_events);
+  target = short_list;
+  EXPECT_FALSE(target.spilled());
+  EXPECT_EQ(events(target), short_events);
+
+  // Moves take the heap storage or the inline events, leaving the
+  // source empty and inline.
+  const Event* const* heap = long_list.begin();
+  EventList moved_long(std::move(long_list));
+  EXPECT_TRUE(moved_long.spilled());
+  EXPECT_EQ(moved_long.begin(), heap);
+  EXPECT_EQ(events(moved_long), long_events);
+  EXPECT_TRUE(long_list.empty());     // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(long_list.spilled());  // NOLINT(bugprone-use-after-move)
+  EventList moved_short;
+  moved_short = std::move(short_list);
+  EXPECT_EQ(events(moved_short), short_events);
+  EXPECT_TRUE(short_list.empty());  // NOLINT(bugprone-use-after-move)
+  moved_short = std::move(moved_long);  // spilled into an inline list
+  EXPECT_TRUE(moved_short.spilled());
+  EXPECT_EQ(events(moved_short), long_events);
+}
+
+TEST(Binding, AllEventsCoversSpilledKleeneLists) {
+  const Event a = MakeEvent(7, 0, 1.0);
+  const Event k1 = MakeEvent(3, 1, 2.0);
+  const Event k2 = MakeEvent(4, 1, 2.0);
+  const Event k3 = MakeEvent(5, 1, 2.0);
+  Binding binding(2);
+  binding.Bind(0, &a);
+  for (const Event* k : {&k1, &k2, &k3}) binding.Bind(1, k);
+  const Binding copy = binding;
+  for (const Binding* b : {&std::as_const(binding), &copy}) {
+    const auto events = b->AllEvents();
+    ASSERT_EQ(events.size(), 4u);
+    EXPECT_EQ(events[0]->id, 3u);
+    EXPECT_EQ(events[1]->id, 4u);
+    EXPECT_EQ(events[2]->id, 5u);
+    EXPECT_EQ(events[3]->id, 7u);
+  }
 }
 
 }  // namespace

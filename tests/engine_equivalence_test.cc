@@ -162,7 +162,7 @@ TEST_P(KleeneEquivalence, TopLevelKcOverSeq) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, KleeneEquivalence,
-    ::testing::Combine(::testing::Values(size_t{2}, size_t{3}),
+    ::testing::Combine(::testing::Values(size_t{2}, size_t{3}, size_t{5}),
                        ::testing::Values(uint64_t{21}, uint64_t{22},
                                          uint64_t{23})));
 
@@ -205,6 +205,23 @@ TEST_P(NegEquivalence, NegNestedSeq) {
       builder.Prim("B", "b"));
   const Pattern pattern =
       builder.BuildOrDie(std::move(root), WindowSpec::Count(12));
+  ExpectEngineMatchesOracle(EngineKind::kNfa, pattern, stream);
+}
+
+TEST_P(NegEquivalence, KleeneListBeforeNeg) {
+  // Kleene lists of up to 5 events spill out of their binding slot's
+  // inline storage; the NEG right after them evaluates its condition
+  // over the whole list while FindNegOccurrence binds and unbinds nc.
+  const EventStream stream = SmallStream(50, GetParam());
+  PatternBuilder builder(stream.schema_ptr());
+  auto root = builder.Seq(builder.Prim("A", "a"),
+                          builder.Kleene(builder.Prim("B", "ks"), 1, 5),
+                          builder.Neg(builder.Prim("C", "nc")),
+                          builder.Prim("D", "d"));
+  builder.WhereCmp(1.0, "a", "vol", CmpOp::kLt, 1.0, "ks");
+  builder.WhereCmp(1.0, "nc", "vol", CmpOp::kGt, 1.0, "ks");
+  const Pattern pattern =
+      builder.BuildOrDie(std::move(root), WindowSpec::Count(14));
   ExpectEngineMatchesOracle(EngineKind::kNfa, pattern, stream);
 }
 

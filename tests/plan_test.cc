@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "pattern/builder.h"
 #include "pattern/plan.h"
 #include "stream/generator.h"
@@ -139,15 +141,13 @@ TEST(ReadyForPruning, RequiresEqualKleeneListLengths) {
   b.WhereCmp(1.0, "a", "vol", CmpOp::kLt, 1.0, "bb");
   const Pattern pattern = b.BuildOrDie(std::move(root),
                                        WindowSpec::Count(10));
-  const Condition& condition = *pattern.conditions()[0];
-  const VarId va = 0;
-  const VarId vb = 1;
+  auto plans = CompilePlans(pattern);
+  ASSERT_TRUE(plans.ok());
+  const LinearPlan& plan = plans.value()[0];
 
   Event e1(0, 0, 0, {1.0});
   Event e2(1, 1, 1, {2.0});
   Event e3(2, 0, 2, {3.0});
-  Binding binding(2);
-  binding.Bind(pattern.vars()[0].name == "a" ? va : vb, &e1);
   // Identify which var is "a" by the VarInfo list.
   VarId a_var = -1;
   VarId b_var = -1;
@@ -155,13 +155,76 @@ TEST(ReadyForPruning, RequiresEqualKleeneListLengths) {
     if (pattern.vars()[i].name == "a") a_var = static_cast<VarId>(i);
     if (pattern.vars()[i].name == "bb") b_var = static_cast<VarId>(i);
   }
+  // The compiled check the engines run after binding a.
+  ASSERT_EQ(plan.pruning_index[static_cast<size_t>(a_var)].size(), 1u);
+  const CompiledCondition& check =
+      plan.pruning_index[static_cast<size_t>(a_var)][0];
+  EXPECT_EQ(check.condition, pattern.conditions()[0].get());
+  EXPECT_EQ(check.kleene_vars.size(), 2u);  // both group variables
+
   Binding fresh(2);
   fresh.Bind(a_var, &e1);
-  EXPECT_FALSE(ReadyForPruningEval(condition, fresh, pattern));  // bb unbound
+  EXPECT_FALSE(ReadyForPruningEval(check, fresh));  // bb unbound
   fresh.Bind(b_var, &e2);
-  EXPECT_TRUE(ReadyForPruningEval(condition, fresh, pattern));  // 1 vs 1
+  EXPECT_TRUE(ReadyForPruningEval(check, fresh));  // 1 vs 1
   fresh.Bind(a_var, &e3);
-  EXPECT_FALSE(ReadyForPruningEval(condition, fresh, pattern));  // 2 vs 1
+  EXPECT_FALSE(ReadyForPruningEval(check, fresh));  // 2 vs 1
+}
+
+TEST(PruningIndex, ListsExactlyTheConditionsReferencingEachVariable) {
+  PatternBuilder b(TestSchema());
+  auto root = b.Seq(b.Prim("A", "a"), b.Prim("B", "bb"), b.Prim("C", "c"),
+                    b.Kleene(b.Prim("D", "d"), 1, 3));
+  const VarId a = b.Var("a");
+  const VarId bb = b.Var("bb");
+  const VarId c = b.Var("c");
+  const VarId d = b.Var("d");
+  auto cmp = [](VarId l, VarId r) {
+    return std::make_unique<CompareCondition>(Term::Attr(l, 0), CmpOp::kLt,
+                                              Term::Attr(r, 0));
+  };
+  b.Where(MakeBandCondition(bb, 0, a, 0, 0.5, 1.5));  // And over {a, bb}
+  std::vector<std::unique_ptr<Condition>> either;
+  either.push_back(cmp(c, d));
+  either.push_back(cmp(a, c));
+  b.Where(std::make_unique<OrCondition>(std::move(either)));  // {a, c, d}
+  b.Where(std::make_unique<NotCondition>(cmp(bb, d)));        // {bb, d}
+  b.Where(std::make_unique<LambdaCondition>(
+      std::vector<VarId>{c}, [](const Binding&) { return true; },
+      "always"));  // {c}
+  const Pattern pattern = b.BuildOrDie(std::move(root),
+                                       WindowSpec::Count(10));
+  auto plans = CompilePlans(pattern);
+  ASSERT_TRUE(plans.ok());
+  const LinearPlan& plan = plans.value()[0];
+  ASSERT_EQ(plan.pos_conditions.size(), 4u);
+  ASSERT_EQ(plan.pruning_index.size(), pattern.num_vars());
+
+  for (size_t v = 0; v < pattern.num_vars(); ++v) {
+    std::vector<const Condition*> expected;
+    for (const Condition* condition : plan.pos_conditions) {
+      const std::vector<VarId> vars = condition->Vars();
+      if (std::find(vars.begin(), vars.end(), static_cast<VarId>(v)) !=
+          vars.end()) {
+        expected.push_back(condition);
+      }
+    }
+    std::vector<const Condition*> indexed;
+    for (const CompiledCondition& check : plan.pruning_index[v]) {
+      indexed.push_back(check.condition);
+      EXPECT_EQ(check.vars, check.condition->Vars());
+      // Only d is a Kleene variable.
+      const bool has_d = std::find(check.vars.begin(), check.vars.end(),
+                                   d) != check.vars.end();
+      EXPECT_EQ(check.kleene_vars,
+                has_d ? std::vector<VarId>{d} : std::vector<VarId>{});
+    }
+    EXPECT_EQ(indexed, expected) << "variable " << v;
+  }
+  EXPECT_EQ(plan.pruning_index[static_cast<size_t>(a)].size(), 2u);
+  EXPECT_EQ(plan.pruning_index[static_cast<size_t>(bb)].size(), 2u);
+  EXPECT_EQ(plan.pruning_index[static_cast<size_t>(c)].size(), 2u);
+  EXPECT_EQ(plan.pruning_index[static_cast<size_t>(d)].size(), 2u);
 }
 
 TEST(ViolatesNegationCheck, DetectsAndRespectsConditions) {
