@@ -46,6 +46,52 @@ bool SameMatches(const MatchSet& a, const MatchSet& b) {
   return a.size() == b.size() && a.IntersectionSize(b) == a.size();
 }
 
+/// True when every served query's answer equals its independent run's.
+bool SameAnswers(const serve::MultiQueryResult& result,
+                 const std::vector<MatchSet>& independent) {
+  if (result.queries.size() != independent.size()) return false;
+  for (size_t q = 0; q < independent.size(); ++q) {
+    if (!SameMatches(result.queries[q].matches, independent[q])) return false;
+  }
+  return true;
+}
+
+/// Registers every pattern as "q<q>" running `engine`.
+bool RegisterAll(const std::vector<Pattern>& patterns, EngineKind engine,
+                 serve::QueryRegistry* registry) {
+  for (size_t q = 0; q < patterns.size(); ++q) {
+    serve::QueryOptions options;
+    options.name = StrFormat("q%zu", q);
+    options.engine = engine;
+    auto id = registry->Register(patterns[q], options);
+    if (!id.ok()) {
+      std::fprintf(stderr, "register q%zu: %s\n", q,
+                   id.status().ToString().c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The fastest of kRepetitions serve runs over `test` by elapsed time,
+/// which covers extraction; false once a run fails.
+bool BestServeRun(serve::MultiQueryServer* server, const EventStream& test,
+                  serve::MultiQueryResult* best) {
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    ReplaySource source(&test);
+    serve::MultiQueryResult run;
+    const Status status = server->Run(&source, &run);
+    if (!status.ok()) {
+      std::fprintf(stderr, "serve run: %s\n", status.ToString().c_str());
+      return false;
+    }
+    if (rep == 0 || run.stats.elapsed_seconds < best->stats.elapsed_seconds) {
+      *best = std::move(run);
+    }
+  }
+  return true;
+}
+
 /// The 8-query serving mix: two structural-twin pairs (dedup path) plus
 /// four distinct shapes (SEQ bands, one-sided, double band, DISJ).
 /// QA2-style unconditioned sequences are deliberately absent — their
@@ -117,16 +163,7 @@ int Run() {
 
   // --- Shared serving: one registry, one trunk forward per window. ---
   serve::QueryRegistry registry;
-  for (size_t q = 0; q < patterns.size(); ++q) {
-    serve::QueryOptions options;
-    options.name = StrFormat("q%zu", q);
-    auto id = registry.Register(patterns[q], options);
-    if (!id.ok()) {
-      std::fprintf(stderr, "register q%zu: %s\n", q,
-                   id.status().ToString().c_str());
-      return 1;
-    }
-  }
+  if (!RegisterAll(patterns, EngineKind::kNfa, &registry)) return 1;
 
   bool all_identical = true;
   double shared_eps_at_1 = 0.0;
@@ -135,34 +172,18 @@ int Run() {
     serve_config.online = ServingConfig(multi.max_window(), shards);
     serve::MultiQueryServer server(&registry, multi.filter(), multi.filter(),
                                    serve_config);
-    double best_seconds = 0.0;
     serve::MultiQueryResult result;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      ReplaySource source(&test);
-      serve::MultiQueryResult run;
-      const Status status = server.Run(&source, &run);
-      if (!status.ok()) {
-        std::fprintf(stderr, "serve run: %s\n", status.ToString().c_str());
-        return 1;
-      }
-      const double seconds =
-          run.stats.elapsed_seconds + run.stats.extract_seconds;
-      if (rep == 0 || seconds < best_seconds) {
-        best_seconds = seconds;
-        result = std::move(run);
-      }
-    }
-    bool identical = result.queries.size() == independent.size();
-    for (size_t q = 0; identical && q < result.queries.size(); ++q) {
-      identical = SameMatches(result.queries[q].matches, independent[q]);
-    }
+    if (!BestServeRun(&server, test, &result)) return 1;
+    const double best_seconds = result.stats.elapsed_seconds;
+    const bool identical = SameAnswers(result, independent);
     all_identical = all_identical && identical;
     const double eps = result.events_per_sec();
     if (shards == 1) shared_eps_at_1 = eps;
     std::printf("%-24s %8.4fs (stream=%.4f extract=%.4f)  %9.0f ev/s  "
                 "speedup=%5.2fx  identical=%s\n",
                 ("shared x8 shards=" + std::to_string(shards)).c_str(),
-                best_seconds, result.stats.elapsed_seconds,
+                best_seconds,
+                result.stats.elapsed_seconds - result.stats.extract_seconds,
                 result.stats.extract_seconds, eps,
                 eps / std::max(independent_eps, 1e-9),
                 identical ? "yes" : "NO");
@@ -204,48 +225,22 @@ int Run() {
   }
 
   // --- Adaptive serving: same 8 queries, per-query engine=adaptive. ---
-  // Each shared-extraction unit's cost model picks its own engine
-  // (auto-feed: every chunk Evaluate observes its span); answers must
-  // stay byte-identical to the independent NFA runs, which CI gates.
+  // Each query's persistent selector is fed every closed window by the
+  // router and picks its own engine; answers must stay byte-identical
+  // to the independent NFA runs, which CI gates.
   {
     serve::QueryRegistry adaptive_registry;
-    for (size_t q = 0; q < patterns.size(); ++q) {
-      serve::QueryOptions options;
-      options.name = StrFormat("q%zu", q);
-      options.engine = EngineKind::kAdaptive;
-      auto id = adaptive_registry.Register(patterns[q], options);
-      if (!id.ok()) {
-        std::fprintf(stderr, "register adaptive q%zu: %s\n", q,
-                     id.status().ToString().c_str());
-        return 1;
-      }
+    if (!RegisterAll(patterns, EngineKind::kAdaptive, &adaptive_registry)) {
+      return 1;
     }
     serve::ServeConfig serve_config;
     serve_config.online = ServingConfig(multi.max_window(), 1);
     serve::MultiQueryServer server(&adaptive_registry, multi.filter(),
                                    multi.filter(), serve_config);
-    double best_seconds = 0.0;
     serve::MultiQueryResult result;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      ReplaySource source(&test);
-      serve::MultiQueryResult run;
-      const Status status = server.Run(&source, &run);
-      if (!status.ok()) {
-        std::fprintf(stderr, "adaptive serve run: %s\n",
-                     status.ToString().c_str());
-        return 1;
-      }
-      const double seconds =
-          run.stats.elapsed_seconds + run.stats.extract_seconds;
-      if (rep == 0 || seconds < best_seconds) {
-        best_seconds = seconds;
-        result = std::move(run);
-      }
-    }
-    bool identical = result.queries.size() == independent.size();
-    for (size_t q = 0; identical && q < result.queries.size(); ++q) {
-      identical = SameMatches(result.queries[q].matches, independent[q]);
-    }
+    if (!BestServeRun(&server, test, &result)) return 1;
+    const double best_seconds = result.stats.elapsed_seconds;
+    const bool identical = SameAnswers(result, independent);
     all_identical = all_identical && identical;
     const double eps = result.events_per_sec();
     std::printf("%-24s %8.4fs  %9.0f ev/s  identical=%s\n",

@@ -114,10 +114,12 @@ class Status {
 template <typename T>
 class StatusOr {
  public:
-  StatusOr(T value) : value_(std::move(value)) {}          // NOLINT(runtime/explicit)
+  StatusOr(T value)  // NOLINT(runtime/explicit)
+      : value_(std::move(value)), status_(Status::Ok()) {}
   StatusOr(Status status) : status_(std::move(status)) {}  // NOLINT(runtime/explicit)
 
   bool ok() const { return value_.has_value(); }
+  /// OK when a value is held.
   const Status& status() const { return status_; }
 
   const T& value() const& {

@@ -11,13 +11,6 @@ CepExtractor::CepExtractor(const Pattern& pattern, EngineKind engine_kind,
   auto engine = CreateEngine(engine_kind, pattern, options);
   DLACEP_CHECK_MSG(engine.ok(), engine.status().ToString());
   engine_ = std::move(engine).value();
-  if (engine_kind == EngineKind::kAdaptive) {
-    adaptive_ = static_cast<AdaptiveEngine*>(engine_.get());
-    const std::string label = options.pattern_label;
-    adaptive_->set_selection_hook([label](EngineKind kind) {
-      obs::EngineSelected(EngineKindName(kind), label)->Increment();
-    });
-  }
 }
 
 Status CepExtractor::Extract(std::vector<const Event*> marked,

@@ -6,16 +6,16 @@
 // enforced over event *ids*, not stream positions — the paper's
 // mechanism guaranteeing that (NEG-free) DLACEP output is a subset of
 // the exact match set: a match spans at most W-1 id units no matter how
-// many unmarked events were dropped in between.
+// many unmarked events were dropped in between. The online runtime
+// extracts through its ExtractionStage (runtime/extraction.h); this
+// one-pattern pass is the reference evaluators' and exact baselines'.
 
 #ifndef DLACEP_DLACEP_EXTRACTOR_H_
 #define DLACEP_DLACEP_EXTRACTOR_H_
 
 #include <memory>
-#include <span>
 #include <vector>
 
-#include "cep/adaptive_engine.h"
 #include "cep/engine.h"
 #include "pattern/pattern.h"
 
@@ -24,10 +24,7 @@ namespace dlacep {
 class CepExtractor {
  public:
   /// `engine_kind` defaults to the NFA engine; Fig 12 style setups may
-  /// plug the tree, lazy, or adaptive engine instead. With
-  /// EngineKind::kAdaptive the selector's decisions are published to
-  /// dlacep_engine_selected_total{engine,pattern} under
-  /// options.pattern_label.
+  /// plug the tree, lazy, or adaptive engine instead.
   CepExtractor(const Pattern& pattern,
                EngineKind engine_kind = EngineKind::kNfa,
                const EngineOptions& options = EngineOptions{});
@@ -36,24 +33,10 @@ class CepExtractor {
   /// matches. The returned set is merged into `out`.
   Status Extract(std::vector<const Event*> marked, MatchSet* out);
 
-  /// Feeds one closed assembler window into the adaptive selector's
-  /// frequency estimator (no-op for static engines). The online runtime
-  /// calls this from the router so observation order — and therefore
-  /// the selection trail — is deterministic at every shard count.
-  void ObserveWindow(std::span<const Event> events) {
-    if (adaptive_ != nullptr) adaptive_->ObserveWindow(events);
-  }
-
   const EngineStats& stats() const { return engine_->stats(); }
-  void ResetStats() { engine_->ResetStats(); }
-
-  /// Non-null iff the extractor runs the adaptive engine.
-  AdaptiveEngine* adaptive() { return adaptive_; }
-  const AdaptiveEngine* adaptive() const { return adaptive_; }
 
  private:
   std::unique_ptr<CepEngine> engine_;
-  AdaptiveEngine* adaptive_ = nullptr;  ///< typed alias, not owned
 };
 
 }  // namespace dlacep

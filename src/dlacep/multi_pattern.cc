@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/timer.h"
-#include "dlacep/extractor.h"
 #include "dlacep/labeler.h"
 #include "runtime/source.h"
 
@@ -80,38 +78,34 @@ MultiPatternDlacep::MultiPatternDlacep(std::vector<Pattern> patterns,
       featurizer_.get(), config_.network, config_.event_threshold);
   filter_->Fit(train, config_.train);
   test_metrics_ = filter_->Score(test);
+
+  registry_ = std::make_unique<serve::QueryRegistry>();
+  for (const Pattern& pattern : patterns_) {
+    const auto id = registry_->Register(pattern);
+    DLACEP_CHECK_MSG(id.ok(), id.status().ToString());
+  }
 }
 
 MultiPatternResult MultiPatternDlacep::Evaluate(const EventStream& stream) {
   CheckDenseIds(stream);
-  // One filtration run shared by every pattern (serve's composition,
-  // without its registry): the runtime relays the deduplicated marked
-  // events, then each pattern's exact engine extracts over them.
+  // One run over the fixed registry: a shared filtration pass, then the
+  // runtime's extraction stage serves every pattern.
   OnlineConfig online = ReplayConfig(config_);
   online.mark_size = assembler_.mark_size();
   online.step_size = assembler_.step_size();
-  online.collect_relayed = true;
-  online.skip_extraction = true;
-  OnlineDlacep runtime(patterns_[0], filter_.get(), online);
+  OnlineDlacep runtime(registry_.get(), filter_.get(), online);
   ReplaySource source(&stream);
-  const OnlineResult run = runtime.Run(&source);
+  OnlineResult run = runtime.Run(&source);
 
   MultiPatternResult result;
   result.total_events = stream.size();
   result.marked_events = run.marked_events;
-  result.filter_seconds = run.stats.elapsed_seconds;
-
-  Stopwatch cep_watch;
-  std::vector<const Event*> relayed;
-  relayed.reserve(run.relayed_events.size());
-  for (const Event& e : run.relayed_events) relayed.push_back(&e);
-  result.per_pattern.resize(patterns_.size());
-  for (size_t p = 0; p < patterns_.size(); ++p) {
-    CepExtractor extractor(patterns_[p]);
-    const Status status = extractor.Extract(relayed, &result.per_pattern[p]);
-    DLACEP_CHECK_MSG(status.ok(), status.ToString());
+  result.filter_seconds =
+      run.stats.elapsed_seconds - run.stats.extract_seconds;
+  result.cep_seconds = run.stats.extract_seconds;
+  for (serve::QueryResult& query : run.queries) {
+    result.per_pattern.push_back(std::move(query.matches));
   }
-  result.cep_seconds = cep_watch.ElapsedSeconds();
   return result;
 }
 

@@ -10,10 +10,10 @@
 //
 // All patterns must share the schema and use count windows; the
 // assembler is sized by the largest pattern window. Evaluate() is one
-// filtration run of the online runtime (collect_relayed,
-// skip_extraction) followed by one CepExtractor per pattern over the
-// relayed events — the composition src/serve uses, without its
-// registry, shared plans, or breakers.
+// run of the online runtime over a fixed registry of the patterns: one
+// filtration pass, then the runtime's extraction stage evaluates every
+// pattern over the relayed events through the shared plan (structural
+// twins run once) — the serve path without per-query attribution.
 
 #ifndef DLACEP_DLACEP_MULTI_PATTERN_H_
 #define DLACEP_DLACEP_MULTI_PATTERN_H_
@@ -24,6 +24,7 @@
 #include "dlacep/config.h"
 #include "dlacep/event_filter.h"
 #include "dlacep/pipeline.h"
+#include "serve/registry.h"
 
 namespace dlacep {
 
@@ -49,7 +50,7 @@ struct MultiPatternResult {
 class MultiPatternDlacep {
  public:
   /// Builds featurizer + unified labels + event network from
-  /// `train_stream`, then one extractor per pattern.
+  /// `train_stream`, and registers the patterns for extraction.
   MultiPatternDlacep(std::vector<Pattern> patterns,
                      const EventStream& train_stream,
                      const DlacepConfig& config);
@@ -82,6 +83,8 @@ class MultiPatternDlacep {
   std::unique_ptr<Featurizer> featurizer_;
   std::unique_ptr<EventNetworkFilter> filter_;
   BinaryMetrics test_metrics_;
+  /// The patterns, in input order, as the runtime's queries.
+  std::unique_ptr<serve::QueryRegistry> registry_;
 };
 
 }  // namespace dlacep

@@ -11,6 +11,7 @@
 #include "common/timer.h"
 #include "obs/stages.h"
 #include "obs/trace.h"
+#include "serve/filter.h"
 
 namespace dlacep {
 
@@ -38,9 +39,11 @@ constexpr size_t kShardWorkBurst = 16;
 /// EventStreams they are handed; everything else is owned by the router
 /// (caller) thread.
 struct OnlineDlacep::RunState {
-  RunState(size_t queue_capacity, const OverloadConfig& overload,
-           const HealthConfig& health)
-      : queue(queue_capacity), controller(overload), guard(health) {}
+  RunState(const OnlineConfig& config, const Pattern& anchor)
+      : queue(config.queue_capacity),
+        type_shed(anchor),
+        controller(config.overload),
+        guard(config.health) {}
 
   // Queue element: the event plus its push timestamp, so queue-wait is
   // measured exactly (the stamp travels with the event through the
@@ -53,6 +56,8 @@ struct OnlineDlacep::RunState {
 
   RingQueue<Arrival> queue;
   std::shared_ptr<const Schema> schema;
+  /// Level-2 type-shedding fallback, judged against the anchor query.
+  TypeSheddingFilter type_shed;
 
   // Assembler: arrivals not yet consumed by every window that needs
   // them. `buffer_offset` is the global stream index of buffer.front();
@@ -107,12 +112,11 @@ struct OnlineDlacep::RunState {
   };
   std::vector<std::unique_ptr<Shard>> shards;
 
-  // Merge products. marked_store is a deque so the Event addresses
-  // handed to the extractor stay stable as it grows. `stored` dedups
-  // the store across overlapping windows; `seen` holds ids relayed by a
-  // healthy mark, `quarantined_ids` ids relayed through a quarantined
-  // or degraded window (an id can be in both — accounting attributes it
-  // to `seen`).
+  // Merge products. marked_store is a deque so Event addresses stay
+  // stable as it grows. `stored` dedups the store across overlapping
+  // windows; `seen` holds ids relayed by a healthy mark,
+  // `quarantined_ids` ids relayed through a quarantined or degraded
+  // window (an id can be in both — accounting attributes it to `seen`).
   std::vector<EventId> marked_ids;
   std::unordered_set<EventId> seen;
   std::unordered_set<EventId> quarantined_ids;
@@ -137,31 +141,63 @@ struct OnlineDlacep::RunState {
   Stopwatch watch;
 };
 
-Status OnlineDlacep::ValidateForOnline(const Pattern& pattern) {
+Status OnlineDlacep::ValidateForOnline(const Pattern& pattern,
+                                       EngineKind engine) {
   if (pattern.window().kind != WindowKind::kCount) {
     return Status::InvalidArgument(
         "DLACEP filtration requires a count window (WITHIN N); "
         "time-window queries can only be evaluated exactly (dlacep run)");
   }
-  return Status::Ok();
+  // Extraction builds the engine at end of stream; refuse a pattern
+  // outside its class now, not after the whole run.
+  return CreateEngine(engine, pattern).status();
 }
+
+namespace {
+
+// The pattern constructor's registry: the pattern as its only query.
+std::unique_ptr<serve::QueryRegistry> OneQueryRegistry(
+    const Pattern& pattern, const OnlineConfig& config) {
+  auto registry = std::make_unique<serve::QueryRegistry>();
+  serve::QueryOptions options;
+  options.name = config.engine_options.pattern_label;
+  options.engine = config.engine;
+  const StatusOr<serve::QueryId> id = registry->Register(pattern, options);
+  DLACEP_CHECK_MSG(id.ok(), id.status().ToString());
+  return registry;
+}
+
+}  // namespace
 
 OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
                            const OnlineConfig& config)
-    : pattern_(pattern),
+    : OnlineDlacep(OneQueryRegistry(pattern, config), nullptr, filter,
+                   config, serve::BreakerConfig{}, nullptr) {}
+
+OnlineDlacep::OnlineDlacep(const serve::QueryRegistry* registry,
+                           const StreamFilter* filter,
+                           const OnlineConfig& config,
+                           const serve::BreakerConfig& breaker,
+                           const serve::ServeFilter* attribution)
+    : OnlineDlacep(nullptr, registry, filter, config, breaker, attribution) {}
+
+OnlineDlacep::OnlineDlacep(std::unique_ptr<serve::QueryRegistry> owned,
+                           const serve::QueryRegistry* registry,
+                           const StreamFilter* filter,
+                           const OnlineConfig& config,
+                           const serve::BreakerConfig& breaker,
+                           const serve::ServeFilter* attribution)
+    : owned_registry_(std::move(owned)),
+      registry_(owned_registry_ != nullptr ? owned_registry_.get()
+                                           : registry),
+      attribution_(attribution),
       config_(config),
       filter_(filter),
-      type_shed_(pattern_),
       random_shed_(config.overload.random_keep_probability,
                    config.overload.random_seed),
-      extractor_(pattern_, config.engine, config.engine_options) {
+      stage_(*registry_->Acquire(), config.engine_options, breaker) {
+  DLACEP_CHECK(registry_ != nullptr);
   DLACEP_CHECK(filter_ != nullptr);
-  DLACEP_CHECK_MSG(ValidateForOnline(pattern_).ok(),
-                   ValidateForOnline(pattern_).message());
-  const InputAssembler assembler = InputAssembler::ForWindow(
-      pattern_.window().count_size(), config_.mark_size, config_.step_size);
-  mark_size_ = assembler.mark_size();
-  step_size_ = assembler.step_size();
   // One worker thread (spawned per Run) and one scratch arena per shard.
   num_shards_ = ResolveNumThreads(config_.num_shards);
   for (size_t i = 0; i < num_shards_; ++i) {
@@ -404,7 +440,7 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
       if (head.level == OverloadController::kMaxLevel) {
         marker = config_.overload.shedding == SheddingPolicy::kRandom
                      ? static_cast<const StreamFilter*>(&random_shed_)
-                     : static_cast<const StreamFilter*>(&type_shed_);
+                     : static_cast<const StreamFilter*>(&state->type_shed);
       }
       Stopwatch mark_watch;
       obs::TraceSpan mark_span(obs::StageWindowMark());
@@ -486,13 +522,12 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
     events->AppendArrival(state->buffer[i - state->buffer_offset]);
   }
 
-  // Adaptive engine selection (config.engine == kAdaptive): the router
-  // feeds each closed window into the selector's frequency estimator
-  // right here — before dispatch, on the one thread that closes
-  // windows — so the observation order, the decayed counts,
-  // and every reselection point are deterministic at any shard count.
-  // No-op for static engines.
-  extractor_.ObserveWindow(
+  // Adaptive engine selection: the router feeds each closed window into
+  // the persistent selectors' frequency estimators right here — before
+  // dispatch, on the one thread that closes windows — so the observation
+  // order, the decayed counts, and every reselection point are
+  // deterministic at any shard count. No-op without adaptive queries.
+  stage_.ObserveWindow(
       std::span<const Event>(events->events().data(), events->size()));
 
   const size_t seq = state->windows_dispatched++;
@@ -562,7 +597,7 @@ void OnlineDlacep::WriteCheckpointNow(RunState* state) {
   snap.controller_level = state->controller.level();
   snap.probe_pass_run = state->guard.probe_pass_run();
   snap.degraded_since_probe = state->degraded_since_probe;
-  if (const AdaptiveEngine* adaptive = extractor_.adaptive()) {
+  if (const AdaptiveEngine* adaptive = stage_.first_adaptive()) {
     const AdaptiveSnapshot a = adaptive->Snapshot();
     snap.has_adaptive = 1;
     snap.adaptive_selected = a.selected;
@@ -609,7 +644,7 @@ Status OnlineDlacep::RestoreFrom(RunState* state, StreamSource* source) {
   // needs the frequency counts and observation counter to land on the
   // same reselection points, and a static resume must not silently
   // discard a selection trail the checkpoint carries.
-  AdaptiveEngine* adaptive = extractor_.adaptive();
+  AdaptiveEngine* adaptive = stage_.first_adaptive();
   if (cs.has_adaptive != 0) {
     if (adaptive == nullptr) {
       return Status::FailedPrecondition(
@@ -715,7 +750,15 @@ OnlineResult OnlineDlacep::Run(StreamSource* source) {
 Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
   DLACEP_CHECK(source != nullptr);
   DLACEP_CHECK(result != nullptr);
-  RunState state(config_.queue_capacity, config_.overload, config_.health);
+  const auto start_snapshot = registry_->Acquire();
+  if (start_snapshot->queries.empty()) {
+    return Status::FailedPrecondition("cannot serve: no queries registered");
+  }
+  const InputAssembler assembler = InputAssembler::ForWindow(
+      start_snapshot->max_window, config_.mark_size, config_.step_size);
+  mark_size_ = assembler.mark_size();
+  step_size_ = assembler.step_size();
+  RunState state(config_, *start_snapshot->queries[0].pattern);
   state.schema = source->schema();
   if (config_.drift.enabled) {
     state.drift = std::make_unique<DriftMonitor>(
@@ -885,39 +928,39 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
   state.stats.source_retries = retries;
   state.stats.source_aborted = aborted;
 
-  if (config_.collect_relayed) {
-    result->relayed_events.assign(state.marked_store.begin(),
-                                  state.marked_store.end());
-    result->quarantined_ids.assign(state.quarantined_ids.begin(),
+  // Extraction serves whatever is registered when the stream ends.
+  Stopwatch extract_watch;
+  const auto snapshot = registry_->Acquire();
+  std::vector<EventId> quarantined(state.quarantined_ids.begin(),
                                    state.quarantined_ids.end());
-    std::sort(result->quarantined_ids.begin(),
-              result->quarantined_ids.end());
+  std::sort(quarantined.begin(), quarantined.end());
+  std::map<serve::QueryId, std::vector<EventId>> recorded;
+  if (attribution_ != nullptr) recorded = attribution_->RecordedMarks();
+  std::vector<serve::QueryResult> queries;
+  DLACEP_RETURN_IF_ERROR(stage_.Extract(
+      *snapshot, state.marked_store, quarantined,
+      attribution_ != nullptr ? &recorded : nullptr, &queries,
+      &result->sharing, &result->cep_stats));
+  state.stats.extract_seconds = extract_watch.ElapsedSeconds();
+  obs::StageCepEval()->Observe(state.stats.extract_seconds);
+  state.stats.cep_partial_matches_dropped =
+      result->cep_stats.partial_matches_dropped;
+  // The adaptive selection when the stream drained, else the first
+  // query's engine (the one query's, for the pattern constructor).
+  if (const AdaptiveEngine* adaptive = stage_.first_adaptive()) {
+    state.stats.engine_selected = EngineKindName(adaptive->selected_kind());
+    state.stats.engine_switches = adaptive->switches();
+  } else if (!snapshot->queries.empty()) {
+    state.stats.engine_selected = EngineKindName(snapshot->queries[0].engine);
   }
-  if (!config_.skip_extraction) {
-    extractor_.ResetStats();
-    Stopwatch extract_watch;
-    std::vector<const Event*> marked;
-    marked.reserve(state.marked_store.size());
-    for (const Event& e : state.marked_store) marked.push_back(&e);
-    const Status status =
-        extractor_.Extract(std::move(marked), &result->matches);
-    DLACEP_CHECK_MSG(status.ok(), status.ToString());
-    state.stats.extract_seconds = extract_watch.ElapsedSeconds();
-    obs::StageCepEval()->Observe(state.stats.extract_seconds);
-    result->cep_stats = extractor_.stats();
-    state.stats.cep_partial_matches_dropped =
-        result->cep_stats.partial_matches_dropped;
-    // Selection lives in the adaptive engine, not EngineStats, so it
-    // survives the ResetStats() above; read it after the final Evaluate
-    // in case a windowless run selected on the extraction span itself.
-    const AdaptiveEngine* adaptive = extractor_.adaptive();
-    state.stats.engine_selected =
-        adaptive != nullptr ? EngineKindName(adaptive->selected_kind())
-                            : EngineKindName(config_.engine);
-    state.stats.engine_switches =
-        adaptive != nullptr ? adaptive->switches() : 0;
+  for (const serve::QueryResult& query : queries) {
+    state.stats.matches += query.matches.size();
   }
-  state.stats.matches = result->matches.size();
+  if (owned_registry_ != nullptr) {
+    result->matches = std::move(queries[0].matches);
+  } else {
+    result->queries = std::move(queries);
+  }
   state.stats.elapsed_seconds = state.watch.ElapsedSeconds();
 
   result->marked_ids = std::move(state.marked_ids);

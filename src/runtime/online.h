@@ -2,12 +2,15 @@
 // evaluation runs on. A live source streams through it; a stored stream
 // replays through it (DlacepPipeline::Evaluate and
 // MultiPatternDlacep::Evaluate are a lossless, overload-off Run over a
-// ReplaySource).
+// ReplaySource). Its queries live in a serve::QueryRegistry: the
+// pattern constructor wraps a one-query registry, MultiPatternDlacep
+// passes a fixed one, and MultiQueryServer a live one.
 //
 //   source ──(producer thread)──▶ bounded ingest queue
 //          ──(router)──▶ watermark-closed windows
 //          ──(window seq mod N)──▶ N shard workers
-//          ──(deterministic in-order merge)──▶ CEP extraction
+//          ──(deterministic in-order merge)──▶ relayed store
+//          ──(end of stream)──▶ ExtractionStage ──▶ per-query matches
 //
 // One producer thread pulls events from a StreamSource, assigns arrival
 // ids at ingest (§4.4), and pushes into a bounded RingQueue — blocking
@@ -53,10 +56,14 @@
 // The accounting contract grows one term:
 //   relayed + filtered + dropped + quarantined == ingested.
 //
-// CEP extraction runs once at end-of-stream over the deduplicated
-// relayed events (the engines are batch evaluators); per-window
-// latencies therefore measure ingest → merged-marks, which is the
-// filtration service time the overload controller manages.
+// CEP extraction runs once at end of stream: the runtime hands its
+// deduplicated relayed store, the quarantined ids, and (under serve) the
+// filter's per-query attribution to its one ExtractionStage
+// (extraction.h), which extracts every registered query through the
+// registry's shared plan — a single pattern is a one-query plan. The
+// engines are batch evaluators, so per-window latencies measure ingest →
+// merged-marks, the filtration service time the overload controller
+// manages; RuntimeStats::elapsed_seconds covers the extraction too.
 
 #ifndef DLACEP_RUNTIME_ONLINE_H_
 #define DLACEP_RUNTIME_ONLINE_H_
@@ -69,11 +76,11 @@
 
 #include "dlacep/config.h"
 #include "dlacep/drift.h"
-#include "dlacep/extractor.h"
 #include "dlacep/filter.h"
 #include "dlacep/shedding_filter.h"
 #include "nn/infer.h"
 #include "runtime/checkpoint.h"
+#include "runtime/extraction.h"
 #include "runtime/health.h"
 #include "runtime/overload.h"
 #include "runtime/ring_queue.h"
@@ -81,6 +88,10 @@
 #include "runtime/stats.h"
 
 namespace dlacep {
+
+namespace serve {
+class ServeFilter;
+}  // namespace serve
 
 /// Online drift monitoring knobs (flag-only: the runtime records drift
 /// firings in RuntimeStats instead of triggering retraining — see
@@ -128,27 +139,21 @@ struct OnlineConfig {
   /// recorded in ShardStats and otherwise ignored.
   bool pin_shard_threads = true;
 
-  /// Serve-layer hooks (src/serve). collect_relayed copies the
-  /// deduplicated relayed events (merge order) and the sorted
-  /// quarantined id set into OnlineResult so a caller can run its own
-  /// extraction over them. skip_extraction skips the built-in
-  /// single-pattern CEP pass entirely — the multi-query server
-  /// evaluates shared sub-plans itself. Both default off: the runtime
-  /// behaves exactly as before.
-  bool collect_relayed = false;
-  bool skip_extraction = false;
-
-  /// Exact-CEP engine for the end-of-run extraction. kAdaptive lets a
-  /// cost model over per-engine EngineStats pick the cheapest engine
-  /// per pattern: the router feeds every closed window into a decayed
-  /// per-type frequency estimator, the choice is re-evaluated every
-  /// engine_options.adaptive_reselect_windows windows, and the decision
-  /// trail lands in dlacep_engine_selected_total{engine,pattern} and
-  /// RuntimeStats. Selection is a pure function of the event stream, so
-  /// matches stay byte-identical to any static engine. Tree/lazy kinds
-  /// abort construction when the pattern is outside their class;
+  /// Exact-CEP engine of the pattern constructor's one query (registry
+  /// runtimes take each query's QueryOptions::engine instead). kAdaptive
+  /// lets a cost model over per-engine EngineStats pick the cheapest
+  /// engine per pattern: the router feeds every closed window into a
+  /// decayed per-type frequency estimator, the choice is re-evaluated
+  /// every engine_options.adaptive_reselect_windows windows, and the
+  /// decision trail lands in dlacep_engine_selected_total{engine,pattern}
+  /// and RuntimeStats. Selection is a pure function of the event stream,
+  /// so matches stay byte-identical to any static engine. Tree/lazy
+  /// kinds abort construction when the pattern is outside their class;
   /// adaptive never does.
   EngineKind engine = EngineKind::kNfa;
+  /// Base options of every extraction engine. A partial-match budget or
+  /// deadline here makes extraction chunked and breaker-guarded (see
+  /// extraction.h).
   EngineOptions engine_options;
 
   OverloadConfig overload;
@@ -165,20 +170,19 @@ struct OnlineConfig {
 /// Outcome of one Run(): the extracted matches, the merged marks, and
 /// the run's counters.
 struct OnlineResult {
+  /// The pattern constructor's answer. Registry runtimes report every
+  /// query's answer in `queries` and leave this empty.
   MatchSet matches;
+  /// One entry per query registered at end of stream, in registry order
+  /// (empty for the pattern constructor, whose answer is `matches`).
+  std::vector<serve::QueryResult> queries;
+  serve::SharingStats sharing;
   /// Marked ids in deterministic merge order, duplicates from
   /// overlapping windows included.
   std::vector<EventId> marked_ids;
   size_t marked_events = 0;  ///< deduplicated (== stats.events_relayed)
-  /// OnlineConfig::collect_relayed: the deduplicated relayed events in
-  /// deterministic merge order, and the sorted ids that reached the
-  /// store through a quarantined window (recall-1.0 events a per-query
-  /// extraction must always include). Empty unless requested.
-  std::vector<Event> relayed_events;
-  std::vector<EventId> quarantined_ids;
   RuntimeStats stats;
-  /// The built-in extraction's engine counters (empty with
-  /// skip_extraction).
+  /// The extraction's engine counters, summed over engine runs.
   EngineStats cep_stats;
 
   double filtering_ratio() const {
@@ -193,14 +197,31 @@ class OnlineDlacep {
  public:
   /// `filter` is borrowed and must outlive the runtime; it may be a
   /// trained network, a shedding baseline, the oracle, or pass-through.
-  /// Count windows only.
+  /// Count windows only. The runtime serves a one-query registry named
+  /// config.engine_options.pattern_label with engine config.engine.
   OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
                const OnlineConfig& config);
 
-  /// Online-mode precondition surfaced as a Status (for user-input
-  /// paths like the CLI): the streaming assembler requires a count
-  /// window. The constructor CHECKs the same condition.
-  static Status ValidateForOnline(const Pattern& pattern);
+  /// Serves every query of `registry` (borrowed; may change while a run
+  /// streams — extraction serves the end-of-stream snapshot). Geometry
+  /// 0 resolves to 2W/W of the widest query registered when Run()
+  /// starts; the first of those anchors the type-shedding fallback.
+  /// `attribution` (borrowed, may be null) is the filter's per-query
+  /// mark sink; null means every query extracts the whole relayed
+  /// store. `breaker` configures the per-query circuit breakers of
+  /// budgeted extraction.
+  OnlineDlacep(const serve::QueryRegistry* registry,
+               const StreamFilter* filter, const OnlineConfig& config,
+               const serve::BreakerConfig& breaker = {},
+               const serve::ServeFilter* attribution = nullptr);
+
+  /// What a runtime query must satisfy, as a Status (for user-input
+  /// paths like the CLI; QueryRegistry::Register applies it): the
+  /// streaming assembler requires a count window, and `engine` must run
+  /// the pattern (tree/lazy cover SEQ/CONJ/DISJ of primitives only).
+  /// The pattern constructor CHECKs the same conditions.
+  static Status ValidateForOnline(const Pattern& pattern,
+                                  EngineKind engine = EngineKind::kNfa);
 
   /// Drains `source` to completion. May be called again with a new
   /// source; each call is an independent run with fresh stats. Aborts
@@ -211,9 +232,13 @@ class OnlineDlacep {
   /// errors as a Status instead of aborting.
   Status Run(StreamSource* source, OnlineResult* result);
 
-  const OnlineConfig& config() const { return config_; }
-
  private:
+  OnlineDlacep(std::unique_ptr<serve::QueryRegistry> owned,
+               const serve::QueryRegistry* registry,
+               const StreamFilter* filter, const OnlineConfig& config,
+               const serve::BreakerConfig& breaker,
+               const serve::ServeFilter* attribution);
+
   struct DoneWindow {
     size_t begin = 0;
     std::vector<int> marks;
@@ -245,19 +270,23 @@ class OnlineDlacep {
   /// Seeds a fresh RunState from the checkpoint in config_.checkpoint.
   Status RestoreFrom(RunState* state, StreamSource* source);
 
-  Pattern pattern_;
+  /// The pattern constructor's one-query registry (null otherwise).
+  std::unique_ptr<serve::QueryRegistry> owned_registry_;
+  const serve::QueryRegistry* registry_;   ///< owned_registry_ or borrowed
+  const serve::ServeFilter* attribution_;  ///< not owned, may be null
   OnlineConfig config_;
   const StreamFilter* filter_;  ///< not owned
-  size_t mark_size_;
-  size_t step_size_;
+  /// Assembler geometry, resolved at the start of each Run().
+  size_t mark_size_ = 0;
+  size_t step_size_ = 0;
   size_t num_shards_;
   size_t max_in_flight_;
   /// One scratch arena per shard, reused across windows and runs.
   std::vector<std::unique_ptr<InferenceContext>> contexts_;
-  /// Level-2 fallbacks, built once from the pattern/config.
-  TypeSheddingFilter type_shed_;
+  /// Level-2 random-shedding fallback (the type-shedding one depends on
+  /// the anchor query and is built per Run()).
   RandomSheddingFilter random_shed_;
-  CepExtractor extractor_;
+  ExtractionStage stage_;
 };
 
 }  // namespace dlacep

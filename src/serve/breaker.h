@@ -1,4 +1,4 @@
-// Per-query circuit breaker for the multi-query server.
+// Per-query circuit breaker for budgeted extraction.
 //
 // Mirrors the runtime health guard's quarantine / probed-recovery design
 // (src/runtime/health.h) on the extraction side: a query whose engine
@@ -7,8 +7,8 @@
 // while every other query keeps exact answers. A tripped query is
 // periodically *probed*: it gets real engine runs again, and a streak of
 // clean runs closes the breaker. Structural-twin groupmates of a tripped
-// query are split out of the shared engine run transparently (the serve
-// scheduler partitions by breaker verdict), so one tenant's blowup never
+// query are split out of the shared engine run transparently (the
+// extraction scheduler partitions by breaker verdict), so one tenant's blowup never
 // degrades its neighbors.
 //
 // State machine:
@@ -47,8 +47,9 @@ struct BreakerConfig {
   uint32_t probe_passes = 2;
 };
 
-/// One query's breaker. Plain value type; the server keeps one per
-/// registered query across Run() calls so trips persist between streams.
+/// One query's breaker. Plain value type; the extraction stage keeps one
+/// per registered query across Run() calls so trips persist between
+/// streams.
 class QueryBreaker {
  public:
   QueryBreaker() = default;

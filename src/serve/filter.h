@@ -15,7 +15,7 @@
 //
 // The runtime consumes the UNION of the per-query marks (an event is
 // relayed if any query wants it); the per-query attribution is recorded
-// in a sink the MultiQueryServer reads at extraction time. Recording is
+// in a sink the runtime's extraction stage reads at end of stream. Recording is
 // one short mutex hold per window — window granularity, not event
 // granularity — and, with the registry's pointer copy, the only lock on
 // the marking path.

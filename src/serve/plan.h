@@ -24,7 +24,8 @@
 // off the hot path. Which groups actually share work at extraction
 // time additionally depends on the per-query marked-event sets (two
 // twins only share an engine evaluation when their event sets are
-// identical); the server layer (server.cc) makes that runtime cut.
+// identical); the runtime's extraction stage (runtime/extraction.cc)
+// makes that cut.
 
 #ifndef DLACEP_SERVE_PLAN_H_
 #define DLACEP_SERVE_PLAN_H_

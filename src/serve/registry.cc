@@ -5,6 +5,7 @@
 
 #include "common/string_util.h"
 #include "obs/stages.h"
+#include "runtime/online.h"
 
 namespace dlacep {
 namespace serve {
@@ -39,10 +40,8 @@ StatusOr<QueryId> QueryRegistry::Register(const Pattern& pattern,
                                           QueryOptions options) {
   Status valid = pattern.Validate();
   if (!valid.ok()) return valid;
-  if (pattern.window().kind != WindowKind::kCount) {
-    return Status::InvalidArgument(
-        "online serving requires a count window (WITHIN n EVENTS)");
-  }
+  valid = OnlineDlacep::ValidateForOnline(pattern, options.engine);
+  if (!valid.ok()) return valid;
   std::lock_guard<std::mutex> lock(mu_);
   QueryEntry entry;
   entry.id = next_id_++;

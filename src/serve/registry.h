@@ -63,9 +63,9 @@ class QueryRegistry {
  public:
   QueryRegistry();
 
-  /// Validates (structure + count window) and publishes a new snapshot
-  /// including the pattern. Thread-safe; returns the id Unregister
-  /// takes.
+  /// Validates (structure, then OnlineDlacep::ValidateForOnline under
+  /// options.engine) and publishes a new snapshot including the
+  /// pattern. Thread-safe; returns the id Unregister takes.
   StatusOr<QueryId> Register(const Pattern& pattern,
                              QueryOptions options = {});
 

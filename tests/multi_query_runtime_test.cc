@@ -160,6 +160,63 @@ TEST(MultiQueryServing, SharingStatsCountTwinsGuardsAndPrunes) {
                     "twin fan-out");
 }
 
+// Without a partial-match budget or deadline nothing can abort, so each
+// unit is evaluated in one call over its whole span — no chunk overlap
+// is paid, even on a stream many windows long.
+TEST(MultiQueryServing, UnbudgetedUnitsRunOneChunk) {
+  const EventStream stream = SmallStream(2500, 49);
+  auto schema = stream.schema_ptr();
+  std::vector<Pattern> patterns;
+  patterns.push_back(AscendingSeqPattern(schema, 2, 8));
+  patterns.push_back(AscendingSeqPattern(schema, 3, 12));
+  ASSERT_GT(stream.size(), 8 * MaxCountWindow(patterns));
+
+  QueryRegistry registry;
+  for (const Pattern& pattern : patterns) {
+    ASSERT_TRUE(registry.Register(pattern).ok());
+  }
+  PassThroughFilter pass;
+  ServeConfig config;
+  config.online = LosslessConfig(MaxCountWindow(patterns), 2);
+  MultiQueryServer server(&registry, &pass, nullptr, config);
+  ReplaySource source(&stream);
+  MultiQueryResult result;
+  ASSERT_TRUE(server.Run(&source, &result).ok());
+
+  EXPECT_EQ(result.sharing.engines_run, 2u);
+  EXPECT_EQ(result.sharing.chunks_run, result.sharing.engines_run);
+  EXPECT_EQ(result.sharing.chunks_skipped, 0u);
+}
+
+// elapsed_seconds is the whole Run(), extraction included, so the
+// headline rate is events over elapsed — extraction counted once.
+TEST(MultiQueryServing, EventsPerSecCountsExtractionOnce) {
+  const EventStream stream = SmallStream(2500, 50);
+  auto schema = stream.schema_ptr();
+  std::vector<Pattern> patterns;
+  patterns.push_back(AscendingSeqPattern(schema, 2, 8));
+  patterns.push_back(AscendingSeqPattern(schema, 3, 12));
+
+  QueryRegistry registry;
+  for (const Pattern& pattern : patterns) {
+    ASSERT_TRUE(registry.Register(pattern).ok());
+  }
+  PassThroughFilter pass;
+  ServeConfig config;
+  config.online = LosslessConfig(MaxCountWindow(patterns), 1);
+  MultiQueryServer server(&registry, &pass, nullptr, config);
+  ReplaySource source(&stream);
+  MultiQueryResult result;
+  ASSERT_TRUE(server.Run(&source, &result).ok());
+
+  ASSERT_GT(result.stats.extract_seconds, 0.0);
+  EXPECT_LE(result.stats.extract_seconds, result.stats.elapsed_seconds);
+  const double appended =
+      static_cast<double>(result.stats.events_appended);
+  EXPECT_NEAR(result.events_per_sec() * result.stats.elapsed_seconds,
+              appended, 1e-9 * appended);
+}
+
 TEST(MultiQueryServing, TrainedTrunkServesHeadsIdenticalToIsolatedRuns) {
   const EventStream train = SmallStream(1500, 43);
   const EventStream stream = SmallStream(600, 44);
@@ -440,7 +497,7 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   // threshold sees uniform windows throughout (all-relay for q0,
   // all-blank for q1) and therefore the same cadence — per-query
   // extraction inputs and match sets must be byte-identical.
-  // (ExtractShared is shard-agnostic; with more windows in flight the
+  // (Extraction is shard-agnostic; with more windows in flight the
   // per-window health levels depend on how far dispatch ran ahead of
   // the verdict, so exact cadence equality is not a testable contract
   // there.)
@@ -448,14 +505,14 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   std::vector<size_t> reference_inputs;
   for (size_t q = 0; q < patterns.size(); ++q) {
     FixedThresholdFilter fixed(system.filter(), thresholds[q]);
-    OnlineConfig isolated = make_config(1, 1);
-    isolated.collect_relayed = true;
-    OnlineDlacep alone(patterns[q], &fixed, isolated);
+    OnlineDlacep alone(patterns[q], &fixed, make_config(1, 1));
     ReplaySource source(&stream);
     const OnlineResult result = alone.Run(&source);
     EXPECT_GT(result.stats.windows_quarantined, 0u) << "q" << q;
     reference.push_back(result.matches);
-    reference_inputs.push_back(result.relayed_events.size());
+    // The relayed store: healthy relays plus quarantine-only events.
+    reference_inputs.push_back(result.stats.events_relayed +
+                               result.stats.events_quarantined);
   }
   EXPECT_FALSE(reference[0].empty());
   EXPECT_GT(reference_inputs[1], 0u);
@@ -472,7 +529,7 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
                       "quarantine query=" + result.queries[q].name);
   }
 
-  // Sharded path: same ExtractShared code, timing-dependent health
+  // Sharded path: same extraction code, timing-dependent health
   // cadence — assert the timing-independent recall-1.0 invariants. The
   // all-marking query relays everything no matter which windows
   // quarantined, so its matches equal exact CEP; and every query's

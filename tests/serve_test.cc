@@ -106,6 +106,37 @@ TEST(QueryRegistry, RejectsTimeWindowsAndUnknownUnregister) {
   EXPECT_FALSE(registry.Unregister(99).ok());
 }
 
+// The engine is built only at end of stream; a pattern outside its
+// class must be refused at registration, not after the whole run.
+TEST(QueryRegistry, RejectsEnginesThatCannotRunThePattern) {
+  const EventStream stream = SmallStream(50, 3);
+  PatternBuilder builder(stream.schema_ptr());
+  auto root = builder.Seq(builder.Prim("A", "a"),
+                          builder.Neg(builder.Prim("B", "b")),
+                          builder.Prim("C", "c"));
+  const Pattern negated =
+      builder.BuildOrDie(std::move(root), WindowSpec::Count(20));
+
+  QueryRegistry registry;
+  for (const EngineKind kind : {EngineKind::kTree, EngineKind::kLazy}) {
+    QueryOptions options;
+    options.engine = kind;
+    const auto id = registry.Register(negated, options);
+    ASSERT_FALSE(id.ok()) << EngineKindName(kind);
+    EXPECT_EQ(id.status().code(), StatusCode::kUnimplemented)
+        << id.status().ToString();
+  }
+  EXPECT_EQ(registry.size(), 0u);
+
+  for (const EngineKind kind : {EngineKind::kNfa, EngineKind::kAdaptive}) {
+    QueryOptions options;
+    options.engine = kind;
+    EXPECT_TRUE(registry.Register(negated, options).ok())
+        << EngineKindName(kind);
+  }
+  EXPECT_EQ(registry.size(), 2u);
+}
+
 // ---------------------------------------------------------------------
 // Shared-CEP planning.
 

@@ -36,8 +36,8 @@
 // queries/sec x events/sec headline print at exit. --churn_every_ms MS
 // (replay/serve) registers/unregisters a clone of query 0 on that
 // cadence while the stream drains. compare --queries additionally
-// cross-checks every served query against the batch evaluator and an
-// isolated single-query online run.
+// cross-checks every served query against an isolated single-query
+// online run.
 //
 // Online filter KINDs: pass (default), type-shed, random-shed, oracle,
 // or event|window with --train F.csv (trains first, then streams).
@@ -405,6 +405,14 @@ StatusOr<OnlineFilter> MakeOnlineFilter(const Args& args,
   return out;
 }
 
+EngineKind ParseEngineKind(const Args& args) {
+  const std::string name = args.Get("engine", "nfa");
+  return name == "tree"       ? EngineKind::kTree
+         : name == "lazy"     ? EngineKind::kLazy
+         : name == "adaptive" ? EngineKind::kAdaptive
+                              : EngineKind::kNfa;
+}
+
 OnlineConfig MakeOnlineConfig(const Args& args) {
   OnlineConfig config;
   config.queue_capacity =
@@ -428,11 +436,7 @@ OnlineConfig MakeOnlineConfig(const Args& args) {
   config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
   config.num_shards = static_cast<size_t>(args.GetInt("shards", 1));
   config.pin_shard_threads = args.GetInt("pin", 1) != 0;
-  const std::string engine = args.Get("engine", "nfa");
-  config.engine = engine == "tree"       ? EngineKind::kTree
-                  : engine == "lazy"     ? EngineKind::kLazy
-                  : engine == "adaptive" ? EngineKind::kAdaptive
-                                         : EngineKind::kNfa;
+  config.engine = ParseEngineKind(args);
   return config;
 }
 
@@ -451,7 +455,10 @@ void WarnDroppedPartialMatches(const RuntimeStats& stats) {
 
 int StreamOnline(const Args& args, const Pattern& pattern,
                  std::unique_ptr<StreamSource> source) {
-  const Status online_ok = OnlineDlacep::ValidateForOnline(pattern);
+  // Fail with a Status instead of the runtime's CHECK on a time window
+  // or an engine that cannot run the pattern.
+  const Status online_ok =
+      OnlineDlacep::ValidateForOnline(pattern, ParseEngineKind(args));
   if (!online_ok.ok()) {
     std::fprintf(stderr, "%s\n", online_ok.ToString().c_str());
     return 1;
@@ -469,14 +476,6 @@ int StreamOnline(const Args& args, const Pattern& pattern,
   }
   FaultInjector injector(plan.value());
   OnlineConfig config = MakeOnlineConfig(args);
-  // Fail with a Status instead of the extractor's CHECK when the chosen
-  // engine rejects this pattern shape (tree/lazy cover SEQ/CONJ/DISJ
-  // only; nfa and adaptive accept everything).
-  if (auto probe = CreateEngine(config.engine, pattern, config.engine_options);
-      !probe.ok()) {
-    std::fprintf(stderr, "%s\n", probe.status().ToString().c_str());
-    return 1;
-  }
   if (plan.value().any()) {
     std::printf("injecting faults: %s\n", args.Get("inject").c_str());
     injector.InstallNanHook();
@@ -536,14 +535,6 @@ int StreamOnline(const Args& args, const Pattern& pattern,
 
 // ---------------------------------------------------------------------
 // Multi-query serving (--queries on replay/serve/compare).
-
-EngineKind ParseEngineKind(const Args& args) {
-  const std::string name = args.Get("engine", "nfa");
-  return name == "tree"       ? EngineKind::kTree
-         : name == "lazy"     ? EngineKind::kLazy
-         : name == "adaptive" ? EngineKind::kAdaptive
-                              : EngineKind::kNfa;
-}
 
 /// --queries is either an integer N (N copies of --query) or a
 /// semicolon-separated PQL list.
@@ -607,12 +598,65 @@ size_t MaxCountWindow(const std::vector<Pattern>& patterns) {
   return w;
 }
 
-bool SameMatches(const MatchSet& a, const MatchSet& b);
-
 void PrintHeadline(const serve::MultiQueryResult& result) {
   std::printf("headline: %zu queries x %.0f events/s = %.0f query-events/s\n",
               result.queries.size(), result.events_per_sec(),
               result.query_events_per_sec());
+}
+
+/// Registers `patterns[q]` as "q<q>" under --engine. Register refuses
+/// what OnlineDlacep::ValidateForOnline refuses.
+Status RegisterQueries(const Args& args, const std::vector<Pattern>& patterns,
+                       serve::QueryRegistry* registry) {
+  for (size_t q = 0; q < patterns.size(); ++q) {
+    serve::QueryOptions options;
+    options.name = StrFormat("q%zu", q);
+    options.engine = ParseEngineKind(args);
+    DLACEP_RETURN_IF_ERROR(registry->Register(patterns[q], options).status());
+  }
+  return Status::Ok();
+}
+
+/// Re-runs each initial query (`patterns[q]`, served as "q<q>") alone
+/// through the single-query runtime — same filter, same config, no
+/// budget — over `stream` and compares it with the served answer. A
+/// non-degraded query must be byte-identical (the isolation contract),
+/// a degraded one a subset (no false positives). Queries unregistered
+/// mid-run have no whole-stream reference and are skipped. Prints one
+/// line per query; true when every check held.
+bool CheckIsolated(const std::vector<Pattern>& patterns,
+                   const StreamFilter* filter, OnlineConfig config,
+                   const EventStream& stream,
+                   const serve::MultiQueryResult& served) {
+  config.worker_window_hook = nullptr;
+  bool all_ok = true;
+  for (size_t q = 0; q < patterns.size(); ++q) {
+    const std::string name = StrFormat("q%zu", q);
+    const serve::QueryResult* query = nullptr;
+    for (const serve::QueryResult& candidate : served.queries) {
+      if (candidate.name == name) {
+        query = &candidate;
+        break;
+      }
+    }
+    if (query == nullptr) continue;  // unregistered mid-run
+    OnlineDlacep alone(patterns[q], filter, config);
+    ReplaySource source(&stream);
+    const OnlineResult isolated = alone.Run(&source);
+    const bool subset = query->matches.IntersectionSize(isolated.matches) ==
+                        query->matches.size();
+    const bool equal =
+        subset && query->matches.size() == isolated.matches.size();
+    const bool ok = query->degraded ? subset : equal;
+    all_ok = all_ok && ok;
+    std::printf("  %-8s: served=%zu isolated=%zu %s%s%s\n", name.c_str(),
+                query->matches.size(), isolated.matches.size(),
+                query->degraded ? (subset ? "subset" : "NOT-SUBSET")
+                                : (equal ? "identical" : "DIFFER"),
+                query->degraded ? " (degraded)" : "",
+                query->shared ? " (shared engine)" : "");
+  }
+  return all_ok;
 }
 
 /// `replay_stream` is non-null in replay mode only; --verify_isolated
@@ -620,12 +664,11 @@ void PrintHeadline(const serve::MultiQueryResult& result) {
 int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
                      std::unique_ptr<StreamSource> source,
                      const EventStream* replay_stream) {
-  for (const Pattern& pattern : patterns) {
-    const Status online_ok = OnlineDlacep::ValidateForOnline(pattern);
-    if (!online_ok.ok()) {
-      std::fprintf(stderr, "%s\n", online_ok.ToString().c_str());
-      return 1;
-    }
+  serve::QueryRegistry registry;
+  if (const Status status = RegisterQueries(args, patterns, &registry);
+      !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
   }
 
   auto plan = ParseFaultSpec(args.Get("inject"));
@@ -671,18 +714,6 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
     }
     base = std::move(made.value());
     base_filter = base.filter;
-  }
-
-  serve::QueryRegistry registry;
-  for (size_t q = 0; q < patterns.size(); ++q) {
-    serve::QueryOptions options;
-    options.name = StrFormat("q%zu", q);
-    options.engine = ParseEngineKind(args);
-    auto id = registry.Register(patterns[q], options);
-    if (!id.ok()) {
-      std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
-      return 1;
-    }
   }
 
   std::unique_ptr<obs::MetricsExporter> exporter;
@@ -845,51 +876,14 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
 
   int exit_code = result.stats.Accounted() ? 0 : 1;
   if (verify_isolated) {
-    // Re-run every initial query alone through the single-query runtime
-    // (same filter, same explicit geometry, no budget) and compare.
-    // Non-degraded queries must be byte-identical — the isolation
-    // contract; degraded queries must still be a subset (no false
-    // positives). Mid-run registrations (churn, pathological) have no
-    // whole-stream reference and are skipped.
     std::printf("\nisolated cross-check:\n");
-    bool all_ok = true;
-    for (size_t q = 0; q < patterns.size(); ++q) {
-      const std::string name = StrFormat("q%zu", q);
-      const serve::QueryResult* served = nullptr;
-      for (const serve::QueryResult& query : result.queries) {
-        if (query.name == name) {
-          served = &query;
-          break;
-        }
-      }
-      if (served == nullptr) continue;  // unregistered mid-run
-      const StreamFilter* isolated_filter =
-          heads != nullptr ? heads : base_filter;
-      OnlineConfig alone_config = config.online;
-      alone_config.worker_window_hook = nullptr;
-      OnlineDlacep alone(patterns[q], isolated_filter, alone_config);
-      ReplaySource alone_source(replay_stream);
-      const OnlineResult isolated = alone.Run(&alone_source);
-      const bool equal = SameMatches(served->matches, isolated.matches);
-      const bool subset =
-          served->matches.IntersectionSize(isolated.matches) ==
-          served->matches.size();
-      const bool ok = served->degraded ? subset : equal;
-      all_ok = all_ok && ok;
-      std::printf("  %-8s: served=%zu isolated=%zu %s%s\n", name.c_str(),
-                  served->matches.size(), isolated.matches.size(),
-                  served->degraded ? (subset ? "subset" : "NOT-SUBSET")
-                                   : (equal ? "identical" : "DIFFER"),
-                  served->degraded ? " (degraded)" : "");
-    }
+    const bool all_ok =
+        CheckIsolated(patterns, heads != nullptr ? heads : base_filter,
+                      config.online, *replay_stream, result);
     std::printf("isolated identical : %s\n", all_ok ? "yes" : "NO");
     if (!all_ok) exit_code = 1;
   }
   return exit_code;
-}
-
-bool SameMatches(const MatchSet& a, const MatchSet& b) {
-  return a.size() == b.size() && a.IntersectionSize(b) == a.size();
 }
 
 int CompareMulti(const Args& args, const EventStream& train,
@@ -899,12 +893,12 @@ int CompareMulti(const Args& args, const EventStream& train,
     std::fprintf(stderr, "%s\n", patterns.status().ToString().c_str());
     return 1;
   }
-  for (const Pattern& pattern : patterns.value()) {
-    const Status online_ok = OnlineDlacep::ValidateForOnline(pattern);
-    if (!online_ok.ok()) {
-      std::fprintf(stderr, "%s\n", online_ok.ToString().c_str());
-      return 1;
-    }
+  // Before training: Register refuses what the runtime cannot serve.
+  serve::QueryRegistry registry;
+  if (const Status status = RegisterQueries(args, patterns.value(), &registry);
+      !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
   }
 
   std::printf("building shared trunk on %zu training events "
@@ -912,23 +906,10 @@ int CompareMulti(const Args& args, const EventStream& train,
               train.size(), patterns.value().size());
   MultiPatternDlacep multi(patterns.value(), train, MakeTrainConfig(args));
   std::printf("  held-out entity F1 %.3f\n", multi.test_metrics().f1());
-  const MultiPatternResult batch = multi.Evaluate(test);
 
-  serve::QueryRegistry registry;
-  for (size_t q = 0; q < patterns.value().size(); ++q) {
-    serve::QueryOptions options;
-    options.name = StrFormat("q%zu", q);
-    options.engine = ParseEngineKind(args);
-    auto id = registry.Register(patterns.value()[q], options);
-    if (!id.ok()) {
-      std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
-      return 1;
-    }
-  }
-
-  // Serve + isolated runs share the explicit geometry (the batch
-  // evaluator's 2W/W over the widest query) and disable overload, so the
-  // three match sets are byte-comparable.
+  // Serve + isolated runs share the explicit geometry (2W/W over the
+  // widest query) and disable overload, so the match sets are
+  // byte-comparable.
   serve::ServeConfig config;
   config.online = MakeOnlineConfig(args);
   config.online.overload.enabled = false;
@@ -944,23 +925,11 @@ int CompareMulti(const Args& args, const EventStream& train,
     return 1;
   }
 
-  std::printf("\nper-query cross-check (shared serving vs batch vs "
-              "isolated online):\n");
-  bool all_equal = true;
-  for (size_t q = 0; q < patterns.value().size(); ++q) {
-    OnlineDlacep alone(patterns.value()[q], multi.filter(), config.online);
-    ReplaySource alone_source(&test);
-    const OnlineResult isolated = alone.Run(&alone_source);
-    const MatchSet& shared_matches = served.queries[q].matches;
-    const bool vs_batch = SameMatches(shared_matches, batch.per_pattern[q]);
-    const bool vs_alone = SameMatches(shared_matches, isolated.matches);
-    all_equal = all_equal && vs_batch && vs_alone;
-    std::printf("  %-8s: matches=%zu batch=%s isolated=%s%s\n",
-                served.queries[q].name.c_str(), shared_matches.size(),
-                vs_batch ? "equal" : "DIFFER",
-                vs_alone ? "equal" : "DIFFER",
-                served.queries[q].shared ? " (shared engine)" : "");
-  }
+  std::printf("\nper-query cross-check (shared serving vs isolated "
+              "online):\n");
+  const bool all_equal =
+      CheckIsolated(patterns.value(), multi.filter(), config.online, test,
+                    served);
   PrintSharing(served.sharing);
   PrintHeadline(served);
   std::printf("per-query identical : %s\n", all_equal ? "yes" : "NO");
